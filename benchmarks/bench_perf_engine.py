@@ -1,17 +1,19 @@
-"""Engine throughput benchmark: subframes/sec, fast path vs legacy path.
+"""Engine throughput benchmark: subframes/sec, engine vs scalar reference.
 
 Unlike the figure-reproduction benchmarks, this one measures the simulator
 itself.  Each cell size is described by a declarative
 :class:`~repro.experiments.ExperimentSpec`; for each the same seeded
 scenario runs through
 
-* the vectorized fast path (``fast_path=True``, the default), and
-* the legacy scalar path (``fast_path=False``) — the faithful pre-PR
-  reference substrate,
+* the production engine (``ExperimentPlan.simulation``), and
+* the scalar reference engine of ``tests/reference/`` — the per-UE
+  substrate the array-native engine replaced, kept as a test oracle,
 
-verifies the two produce identical results (the substrates are bit-exact
-under a shared seed), and reports subframes/sec plus the fast path's phase
-breakdown.  Results land in ``BENCH_engine.json`` next to this script.
+verifies the two produce identical results (they are bit-exact under a
+shared seed), and reports subframes/sec plus the engine's phase
+breakdown.  Report keys keep their historical names: ``fast_*`` is the
+production engine, ``legacy_*`` the reference.  Results land in
+``BENCH_engine.json`` at the repository root.
 
 Usage::
 
@@ -19,15 +21,16 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_perf_engine.py --smoke   # CI
 
 ``--smoke`` shrinks the subframe counts so CI exercises every code path in
-seconds; it fails on errors or a fast/legacy mismatch, never on timing.
+seconds; it fails on errors or an engine/reference mismatch, never on
+timing.
 
 ``--dynamics`` additionally runs every scenario under a scripted
 environment timeline (hidden-node arrival, duty-cycle drift, departure)
-and asserts the fast and legacy paths stay bit-exact while the world
+and asserts the engine and the reference stay bit-exact while the world
 churns mid-run — the mutation hazard the static benchmark cannot see.
 
 ``--check-bit-exact`` runs only the equivalence checks (static + churn,
-fast vs legacy, at smoke sizes) through the stage-pipeline engine, plus
+engine vs reference, at smoke sizes), plus
 the resilience contract — a supervised parallel grid, a checkpointed
 grid, and a killed-then-resumed grid must all equal the plain serial
 grid — and exits non-zero on any divergence; no timings, no report file.
@@ -53,6 +56,8 @@ from pathlib import Path
 from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).parent))
+# The repository root, for the reference engine in tests/reference/.
+sys.path.insert(1, str(Path(__file__).parent.parent))
 
 from repro.experiments import (
     ChannelSpec,
@@ -67,6 +72,7 @@ from repro.sim.config import SimulationConfig
 from repro.spectrum import ChannelPlan
 
 from common import MASTER_SEED
+from tests.reference import reference_simulation
 
 #: (name, num_ues, num_terminals, num_rbs, num_antennas, subframes)
 SCENARIOS = (
@@ -122,7 +128,7 @@ def channelize_spec(
 
     Terminals are homed round-robin across the channels and UEs are
     assigned by the blueprint channel selector — the multi-channel
-    configuration the engine must keep fast/legacy bit-exact.  With
+    configuration the engine must keep bit-exact with the reference.  With
     ``with_drift`` the run additionally replays a per-channel duty-cycle
     drift timeline (the ``repro dynamics`` composition hazard).
     """
@@ -154,27 +160,32 @@ def channelize_spec(
 
 def timed_run(
     spec: ExperimentSpec,
-    fast: bool,
+    reference: bool = False,
     timer: PhaseTimer | None = None,
     scheduler: str = "pf",
 ):
-    simulation = build_experiment(spec).simulation(
-        scheduler, fast_path=fast, phase_timer=timer
-    )
+    """Run one scheduler of ``spec`` on the engine (or the reference)."""
+    plan = build_experiment(spec)
+    if reference:
+        simulation = reference_simulation(plan, scheduler, phase_timer=timer)
+    else:
+        simulation = plan.simulation(scheduler, phase_timer=timer)
     start = perf_counter()
     result = simulation.run()
     elapsed = perf_counter() - start
-    if fast and not getattr(simulation.scheduler, "fast_path_schedules", 0):
+    vectorized = getattr(simulation.scheduler, "fast_path_schedules", 0)
+    if bool(vectorized) == reference:
         raise AssertionError(
-            f"{spec.name}/{scheduler}: fast run never took the vectorized "
-            f"schedule path — the benchmark would silently time the legacy "
-            f"flavour"
+            f"{spec.name}/{scheduler}: the "
+            f"{'reference' if reference else 'engine'} run "
+            f"{'took' if reference else 'never took'} the vectorized "
+            f"schedule path — the comparison would be vacuous"
         )
     return result, elapsed
 
 
 def phase_speedups(fast_phases: dict, legacy_phases: dict) -> dict:
-    """Per-phase legacy/fast wall-time ratios (>1 means fast wins)."""
+    """Per-phase reference/engine wall-time ratios (>1: the engine wins)."""
     speedups = {}
     for phase, legacy_entry in legacy_phases.items():
         fast_entry = fast_phases.get(phase)
@@ -185,25 +196,25 @@ def phase_speedups(fast_phases: dict, legacy_phases: dict) -> dict:
 
 
 def bench_scenario(spec: ExperimentSpec, subframes: int) -> dict:
-    fast_result, fast_s = timed_run(spec, fast=True)
-    legacy_result, legacy_s = timed_run(spec, fast=False)
+    fast_result, fast_s = timed_run(spec)
+    legacy_result, legacy_s = timed_run(spec, reference=True)
     if fast_result != legacy_result:
         raise AssertionError(
-            f"{spec.name}: fast path diverged from the legacy path under "
+            f"{spec.name}: the engine diverged from the reference under "
             f"one seed"
         )
     # Extra instrumented runs for the per-phase breakdown (the timer costs
     # a couple of perf_counter calls per subframe, so it is kept out of the
-    # headline measurement).  The fast flavour is cheap enough to repeat:
+    # headline measurement).  The engine is cheap enough to repeat:
     # keeping the rep with the smallest schedule-phase total filters the
     # machine-load spikes that would otherwise dominate sub-second phases.
-    # Both flavours run in the same process minutes apart, so the per-phase
+    # Both engines run in the same process minutes apart, so the per-phase
     # speedup ratios are additionally robust to sustained load in a way
     # the absolute phase times are not.
     fast_phases = None
     for _ in range(3):
         rep_timer = PhaseTimer()
-        timed_run(spec, fast=True, timer=rep_timer)
+        timed_run(spec, timer=rep_timer)
         rep_phases = rep_timer.as_dict()
         if fast_phases is None or (
             rep_phases["schedule"]["total_s"]
@@ -211,7 +222,7 @@ def bench_scenario(spec: ExperimentSpec, subframes: int) -> dict:
         ):
             fast_phases = rep_phases
     legacy_timer = PhaseTimer()
-    timed_run(spec, fast=False, timer=legacy_timer)
+    timed_run(spec, reference=True, timer=legacy_timer)
     legacy_phases = legacy_timer.as_dict()
     return {
         "num_ues": spec.scenario.params["num_ues"],
@@ -229,11 +240,11 @@ def bench_scenario(spec: ExperimentSpec, subframes: int) -> dict:
 
 
 def bench_dynamics_scenario(spec: ExperimentSpec, subframes: int) -> dict:
-    fast_result, fast_s = timed_run(spec, fast=True)
-    legacy_result, legacy_s = timed_run(spec, fast=False)
+    fast_result, fast_s = timed_run(spec)
+    legacy_result, legacy_s = timed_run(spec, reference=True)
     if fast_result != legacy_result:
         raise AssertionError(
-            f"{spec.name}: fast path diverged from the legacy path under "
+            f"{spec.name}: the engine diverged from the reference under "
             f"churn"
         )
     timeline = build_experiment(spec).timeline
@@ -437,12 +448,12 @@ CHECK_SCHEDULERS = ("pf", "speculative", "access-aware", "oracle")
 
 
 def check_bit_exact() -> int:
-    """Fast/legacy equivalence through the stage pipeline, static + churn.
+    """Engine/reference equivalence, static + churn.
 
     Sweeps every scheduler (PF, speculative, access-aware, oracle) over
-    every scenario with and without the churn timeline; each fast run also
-    asserts the vectorized path was actually exercised (see
-    :func:`timed_run`), so a silent fallback to the legacy flavour fails
+    every scenario with and without the churn timeline; each run also
+    asserts it took the scheduler flavour its engine should (see
+    :func:`timed_run`), so a silent fallback to the scalar flavour fails
     the check rather than trivially passing it.
     """
     import dataclasses
@@ -458,11 +469,9 @@ def check_bit_exact() -> int:
                 spec = dataclasses.replace(
                     base, schedulers={scheduler: SchedulerSpec(scheduler)}
                 )
-                fast_result, _ = timed_run(
-                    spec, fast=True, scheduler=scheduler
-                )
+                fast_result, _ = timed_run(spec, scheduler=scheduler)
                 legacy_result, _ = timed_run(
-                    spec, fast=False, scheduler=scheduler
+                    spec, reference=True, scheduler=scheduler
                 )
                 label = (
                     f"{name}/{scheduler}"
@@ -479,7 +488,7 @@ def check_bit_exact() -> int:
 
 
 def check_channels_bit_exact() -> int:
-    """The channel axis must not perturb fast/legacy equivalence.
+    """The channel axis must not perturb engine/reference equivalence.
 
     Three flavours per scheduler on the small scenario: a 1-channel plan
     (which must also reproduce the channel-free run bit-exactly), a
@@ -495,7 +504,7 @@ def check_channels_bit_exact() -> int:
         spec = dataclasses.replace(
             base, schedulers={scheduler: SchedulerSpec(scheduler)}
         )
-        plain_result, _ = timed_run(spec, fast=True, scheduler=scheduler)
+        plain_result, _ = timed_run(spec, scheduler=scheduler)
         single = spec.replace(channels=ChannelSpec())
         flavours = {
             "1ch": single,
@@ -503,11 +512,9 @@ def check_channels_bit_exact() -> int:
             "3ch +drift": channelize_spec(spec, with_drift=True),
         }
         for flavour, channel_spec in flavours.items():
-            fast_result, _ = timed_run(
-                channel_spec, fast=True, scheduler=scheduler
-            )
+            fast_result, _ = timed_run(channel_spec, scheduler=scheduler)
             legacy_result, _ = timed_run(
-                channel_spec, fast=False, scheduler=scheduler
+                channel_spec, reference=True, scheduler=scheduler
             )
             label = f"{name}/{scheduler} {flavour}"
             ok = fast_result == legacy_result
@@ -531,12 +538,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--dynamics",
         action="store_true",
-        help="also verify fast/legacy bit-exactness under a churn timeline",
+        help="also verify engine/reference bit-exactness under a churn "
+        "timeline",
     )
     parser.add_argument(
         "--check-bit-exact",
         action="store_true",
-        help="only run the fast/legacy equivalence checks (static + churn)",
+        help="only run the engine/reference equivalence checks "
+        "(static + churn)",
     )
     parser.add_argument(
         "--obs-overhead",
@@ -594,8 +603,8 @@ def main(argv=None) -> int:
         entry = bench_scenario(spec, subframes)
         report["scenarios"][name] = entry
         print(
-            f"{name:>7s}: fast {entry['fast_subframes_per_s']:9.1f} sf/s | "
-            f"legacy {entry['legacy_subframes_per_s']:9.1f} sf/s | "
+            f"{name:>7s}: engine {entry['fast_subframes_per_s']:9.1f} sf/s | "
+            f"reference {entry['legacy_subframes_per_s']:9.1f} sf/s | "
             f"speedup {entry['speedup']:.2f}x"
         )
 
@@ -611,8 +620,9 @@ def main(argv=None) -> int:
             entry = bench_dynamics_scenario(spec, subframes)
             report["dynamics"][name] = entry
             print(
-                f"{name:>7s} (churn): fast {entry['fast_subframes_per_s']:9.1f}"
-                f" sf/s | legacy {entry['legacy_subframes_per_s']:9.1f} sf/s |"
+                f"{name:>7s} (churn): engine "
+                f"{entry['fast_subframes_per_s']:9.1f} sf/s | reference "
+                f"{entry['legacy_subframes_per_s']:9.1f} sf/s |"
                 f" bit-exact over {entry['timeline_events']} events"
             )
 
@@ -628,8 +638,8 @@ def main(argv=None) -> int:
             entry["num_channels"] = spec.channels.plan.num_channels
             report["channels"][name] = entry
             print(
-                f"{name:>7s} (3ch): fast {entry['fast_subframes_per_s']:9.1f}"
-                f" sf/s | legacy {entry['legacy_subframes_per_s']:9.1f} sf/s"
+                f"{name:>7s} (3ch): engine {entry['fast_subframes_per_s']:9.1f}"
+                f" sf/s | reference {entry['legacy_subframes_per_s']:9.1f} sf/s"
                 f" | speedup {entry['speedup']:.2f}x"
             )
 

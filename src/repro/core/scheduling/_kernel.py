@@ -23,7 +23,10 @@ The kernel is optional infrastructure, never a correctness dependency:
 * cached as a shared object in the user's temp directory, keyed by a
   hash of the source (concurrent builds race safely via atomic rename);
 * any failure — no compiler, compile error, unloadable object — degrades
-  to ``kernel() is None`` and callers keep the pure-Python scan;
+  to ``kernel() is None`` and callers keep the pure-Python scan; the
+  failure is reported once per process as a :class:`RuntimeWarning`
+  naming the compiler and the tail of its error output, because the
+  fallback changes speed (never results);
 * ``REPRO_DISABLE_KERNEL=1`` forces the pure path (used by tests to pin
   down which flavour they exercise).
 """
@@ -36,6 +39,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from typing import Optional
 
 __all__ = ["kernel", "kernel_available", "KERNEL_MAX_SLOTS"]
@@ -217,7 +221,8 @@ def _cache_path() -> str:
     )
 
 
-def _build(path: str) -> bool:
+def _build(path: str) -> Optional[str]:
+    """Compile the kernel to ``path``; return why that failed, or None."""
     compiler = os.environ.get("CC") or "cc"
     workdir = tempfile.mkdtemp(prefix="repro_kernel_")
     source = os.path.join(workdir, "greedy.c")
@@ -232,9 +237,15 @@ def _build(path: str) -> bool:
             timeout=120,
         )
         os.replace(built, path)  # atomic: concurrent builders converge
-        return True
-    except (OSError, subprocess.SubprocessError):
-        return False
+        return None
+    except subprocess.CalledProcessError as error:
+        stderr = error.stderr.decode("utf-8", "replace").strip().splitlines()
+        return (
+            f"compiler {compiler!r} exited with status {error.returncode}: "
+            + (" | ".join(stderr[-5:]) or "no error output")
+        )
+    except (OSError, subprocess.SubprocessError) as error:
+        return f"compiler {compiler!r} failed: {error}"
     finally:
         for leftover in (source, built):
             try:
@@ -247,13 +258,26 @@ def _build(path: str) -> bool:
             pass
 
 
+def _fall_back(reason: str) -> None:
+    warnings.warn(
+        f"greedy scheduling kernel unavailable ({reason}); using the "
+        "pure-Python scan (same results, slower)",
+        RuntimeWarning,
+        stacklevel=4,
+    )
+
+
 def _load() -> Optional[ctypes.CDLL]:
     path = _cache_path()
-    if not os.path.exists(path) and not _build(path):
-        return None
+    if not os.path.exists(path):
+        failure = _build(path)
+        if failure is not None:
+            _fall_back(failure)
+            return None
     try:
         lib = ctypes.CDLL(path)
-    except OSError:
+    except OSError as error:
+        _fall_back(f"cannot load {path}: {error}")
         return None
     fill = lib.greedy_fill
     fill.restype = ctypes.c_int64

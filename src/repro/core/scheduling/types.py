@@ -62,11 +62,11 @@ class SchedulingContext:
     link_margin_db: float = 2.0
     #: When True, ``rate_bps`` reads from a whole-cell rate matrix computed
     #: in one vectorized pass (bit-identical values); when False it uses
-    #: the original per-(ue, rb) scalar path.  The simulation engine's
-    #: legacy reference path sets this to False.
+    #: the original per-(ue, rb) scalar path, which the scalar reference
+    #: engine in ``tests/reference/`` uses.
     vectorized: bool = True
     #: Optional pre-built dense ``(max_ue_id + 1, num_rbs)`` SINR matrix
-    #: whose rows match ``sinr_db`` exactly (the engine's fast path hands
+    #: whose rows match ``sinr_db`` exactly (the simulation engine hands
     #: over its CSI snapshot directly, skipping the per-UE row copies).
     sinr_matrix: Optional[np.ndarray] = None
     _rate_cache: Dict[Tuple[int, int, int], float] = field(
@@ -94,7 +94,7 @@ class SchedulingContext:
                 f"max_distinct_ues must be positive: {self.max_distinct_ues}"
             )
         if self.sinr_matrix is not None:
-            # The engine's fast path hands over its own CSI snapshot; the
+            # The simulation engine hands over its own CSI snapshot; the
             # per-UE consistency checks below would re-validate what the
             # engine already guarantees, on every scheduling call.
             return

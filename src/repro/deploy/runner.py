@@ -146,6 +146,16 @@ def _run_cell(deployment: Deployment, cell_id: int) -> SimulationResult:
         mean_snr_db=cell.mean_snr_db,
     )
     scheduler = build_scheduler(spec.scheduler, context)
+    obs = spec.obs
+    session = None
+    if obs is not None and obs.enabled:
+        from repro.obs.session import ObsSession
+
+        session = ObsSession(
+            obs,
+            phase_probe=lambda: getattr(scheduler, "phase", None),
+            run_label=f"cell-{cell_id}",
+        )
     simulation = CellSimulation(
         topology=cell.topology,
         mean_snr_db=cell.mean_snr_db,
@@ -153,29 +163,10 @@ def _run_cell(deployment: Deployment, cell_id: int) -> SimulationResult:
         config=cell.sim_config(spec.sim),
         seed=deployment.cell_sim_seeds[cell_id],
         record_series=spec.record_series,
-        fast_path=spec.fast_path,
+        hooks=session.hooks if session is not None else None,
     )
-    obs = spec.obs
-    if obs is None or not obs.enabled:
+    if session is None:
         return simulation.run()
-    from repro.obs.session import ObsSession
-
-    obs_scheduler = build_scheduler(spec.scheduler, context)
-    session = ObsSession(
-        obs,
-        phase_probe=lambda: getattr(obs_scheduler, "phase", None),
-        run_label=f"cell-{cell_id}",
-    )
-    simulation = CellSimulation(
-        topology=cell.topology,
-        mean_snr_db=cell.mean_snr_db,
-        scheduler=obs_scheduler,
-        config=cell.sim_config(spec.sim),
-        seed=deployment.cell_sim_seeds[cell_id],
-        record_series=spec.record_series,
-        fast_path=spec.fast_path,
-        hooks=session.hooks,
-    )
     with session.activate():
         result = simulation.run()
     session.finish()

@@ -22,10 +22,15 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import SpecError
-from repro.experiments.spec import SchedulerSpec
+from repro.experiments.spec import (
+    SchedulerSpec,
+    _drop_retired_fields,
+    _reject_unknown,
+    _require_mapping,
+)
 from repro.lte import consts
 from repro.obs.config import ObsConfig
 from repro.resilience.faults import FaultPlan
@@ -35,25 +40,6 @@ __all__ = ["PlacementSpec", "RadioSpec", "DeploymentSpec", "DEPLOYMENT_KIND"]
 
 #: Top-level ``kind`` marker in serialized deployment specs.
 DEPLOYMENT_KIND = "deployment"
-
-
-def _require_mapping(value: Any, where: str) -> Dict[str, Any]:
-    if not isinstance(value, Mapping):
-        raise SpecError(f"{where} must be a mapping, got {type(value).__name__}")
-    bad = [key for key in value if not isinstance(key, str)]
-    if bad:
-        raise SpecError(f"{where} has non-string keys: {bad}")
-    return dict(value)
-
-
-def _reject_unknown(
-    data: Mapping[str, Any], allowed: Tuple[str, ...], where: str
-) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise SpecError(
-            f"unknown field(s) {unknown} in {where}; allowed: {sorted(allowed)}"
-        )
 
 
 @dataclass(frozen=True)
@@ -191,7 +177,6 @@ class DeploymentSpec:
     channel_assignment: str = "round-robin"
     channel_spacing_mhz: float = 20.0
     seed: int = 0
-    fast_path: bool = True
     record_series: bool = False
     #: Observability for every cell's run; ``None`` collects nothing.
     obs: Optional[ObsConfig] = None
@@ -276,7 +261,6 @@ class DeploymentSpec:
             "channel_assignment": self.channel_assignment,
             "channel_spacing_mhz": self.channel_spacing_mhz,
             "seed": self.seed,
-            "fast_path": self.fast_path,
             "record_series": self.record_series,
             "obs": self.obs.to_dict() if self.obs else None,
             "faults": self.faults.to_dict() if self.faults else None,
@@ -294,6 +278,7 @@ class DeploymentSpec:
                 f"not a deployment spec: kind={kind!r} "
                 f"(expected {DEPLOYMENT_KIND!r})"
             )
+        _drop_retired_fields(data, "deployment")
         _reject_unknown(
             data,
             (
@@ -311,7 +296,6 @@ class DeploymentSpec:
                 "channel_assignment",
                 "channel_spacing_mhz",
                 "seed",
-                "fast_path",
                 "record_series",
                 "obs",
                 "faults",
@@ -339,7 +323,6 @@ class DeploymentSpec:
             channel_assignment=data.get("channel_assignment", "round-robin"),
             channel_spacing_mhz=float(data.get("channel_spacing_mhz", 20.0)),
             seed=int(data.get("seed", 0)),
-            fast_path=bool(data.get("fast_path", True)),
             record_series=bool(data.get("record_series", False)),
             obs=(
                 ObsConfig.from_dict(data["obs"])

@@ -240,7 +240,8 @@ class EnvironmentTimeline:
 
 def _default_process_seed(label: str, at: int) -> int:
     # Deterministic and independent of Python's randomized str hashing, so
-    # fast and legacy engine paths (and re-runs) build identical processes.
+    # the engine, its scalar test reference and re-runs build identical
+    # processes.
     return zlib.crc32(f"{label}@{at}".encode()) & 0x7FFFFFFF
 
 

@@ -98,7 +98,6 @@ class ExperimentPlan:
         name: str,
         *,
         seed: Optional[int] = None,
-        fast_path: Optional[bool] = None,
         record_series: Optional[bool] = None,
         phase_timer=None,
         hooks=None,
@@ -107,8 +106,8 @@ class ExperimentPlan:
     ) -> CellSimulation:
         """One fully configured engine for a named scheduler entry.
 
-        Keyword overrides exist for harness code (benchmarks force the
-        engine path and attach timers; examples attach traffic sources or
+        Keyword overrides exist for harness code (benchmarks re-seed runs
+        and attach timers; examples attach traffic sources or
         joint activity models); experiment results themselves should come
         from :meth:`run` so the spec stays the single source of truth.
         """
@@ -123,7 +122,6 @@ class ExperimentPlan:
             record_series=(
                 self.spec.record_series if record_series is None else record_series
             ),
-            fast_path=self.spec.fast_path if fast_path is None else fast_path,
             timeline=self.timeline,
             phase_timer=phase_timer,
             hooks=hooks,

@@ -59,6 +59,25 @@ def _reject_unknown(data: Mapping[str, Any], allowed: Tuple[str, ...], where: st
         )
 
 
+#: Removed top-level spec fields (experiment and deployment specs alike):
+#: name -> (the one value older spec files may still carry, why it went).
+#: ``from_dict`` drops a field holding that value and rejects any other;
+#: ``to_dict`` never writes it; checkpoint manifests compare without it.
+RETIRED_FIELDS: Dict[str, Tuple[Any, str]] = {
+    "fast_path": (True, "the scalar engine path was removed"),
+}
+
+
+def _drop_retired_fields(data: Dict[str, Any], where: str) -> None:
+    """Remove :data:`RETIRED_FIELDS` from a spec mapping, in place."""
+    for name, (kept, reason) in RETIRED_FIELDS.items():
+        if name in data and data.pop(name) is not kept:
+            raise SpecError(
+                f"{where} field {name!r} is retired and only {kept!r} is "
+                f"still accepted: {reason}; drop the field"
+            )
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Reference to a registered topology scenario plus its SNR draw.
@@ -281,7 +300,6 @@ class ExperimentSpec:
     timeline: Optional[TimelineSpec] = None
     seed: Optional[int] = 0
     record_series: bool = False
-    fast_path: bool = True
     #: Observability (metrics/tracing) for every run of this spec;
     #: ``None`` — the default — collects nothing.
     obs: Optional[ObsConfig] = None
@@ -333,7 +351,6 @@ class ExperimentSpec:
             "timeline": self.timeline.to_dict() if self.timeline else None,
             "seed": self.seed,
             "record_series": self.record_series,
-            "fast_path": self.fast_path,
             "obs": self.obs.to_dict() if self.obs else None,
             "faults": self.faults.to_dict() if self.faults else None,
             "channels": self.channels.to_dict() if self.channels else None,
@@ -345,6 +362,7 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
         data = _require_mapping(data, "experiment")
+        _drop_retired_fields(data, "experiment")
         _reject_unknown(
             data,
             (
@@ -355,7 +373,6 @@ class ExperimentSpec:
                 "timeline",
                 "seed",
                 "record_series",
-                "fast_path",
                 "obs",
                 "faults",
                 "channels",
@@ -386,7 +403,6 @@ class ExperimentSpec:
             ),
             seed=seed,
             record_series=bool(data.get("record_series", False)),
-            fast_path=bool(data.get("fast_path", True)),
             obs=(
                 ObsConfig.from_dict(data["obs"])
                 if data.get("obs") is not None

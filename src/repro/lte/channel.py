@@ -21,7 +21,6 @@ __all__ = [
     "FadingProcess",
     "UplinkChannel",
     "UplinkChannelBank",
-    "ChannelView",
 ]
 
 
@@ -127,8 +126,9 @@ class UplinkChannel:
     def adjust_mean_snr_db(self, delta_db: float) -> None:
         """Shift the link's mean power (mobility / shadowing dynamics).
 
-        Consumes no randomness — the fading state is untouched — so fast
-        and legacy engine paths stay stream-identical across adjustments.
+        Consumes no randomness — the fading state is untouched — so a
+        :class:`UplinkChannelBank` and per-UE channel objects stay
+        stream-identical across adjustments.
         """
         self.mean_rx_power_dbm += float(delta_db)
         self._sinr_db = self._compute_sinr(self._fading.current_gains())
@@ -156,8 +156,8 @@ class UplinkChannelBank:
     subframe.  Innovations are pre-drawn in blocks per UE; because batched
     ``standard_normal`` draws consume the stream identically to scalar
     draws, a bank run is bit-for-bit identical to an object-per-UE run
-    under the same seed (the engine's fast-path regression test asserts
-    this).
+    under the same seed (``tests/sim/test_fast_path_equivalence.py``
+    asserts this, and the scalar reference engine relies on it).
     """
 
     _BLOCK_SUBFRAMES = 128
@@ -233,10 +233,6 @@ class UplinkChannelBank:
         """Per-(UE, RB) SINR (dB) for the current subframe."""
         return self._sinr_db
 
-    def sinr_row(self, ue: int) -> np.ndarray:
-        """The current per-RB SINR view of one UE (no copy)."""
-        return self._sinr_db[ue]
-
     def adjust_mean_snr_db(self, ue: int, delta_db: float) -> None:
         """Shift one UE's mean SNR; RNG state untouched (see
         :meth:`UplinkChannel.adjust_mean_snr_db`)."""
@@ -244,40 +240,3 @@ class UplinkChannelBank:
             raise ConfigurationError(f"unknown UE id {ue}")
         self._mean_snr_db[ue] += float(delta_db)
         self._sinr_db = self._compute_sinr(np.abs(self._h) ** 2)
-
-    def mean_snr_db(self, ue: int) -> float:
-        return float(self._mean_snr_db[ue])
-
-    def view(self, ue: int) -> "ChannelView":
-        return ChannelView(self, ue)
-
-
-class ChannelView:
-    """Read-only :class:`UplinkChannel`-shaped view of one bank row.
-
-    Lets code written against per-UE channel objects (HARQ accounting,
-    diagnostics) keep working unchanged when the engine runs on the bank.
-    Stepping happens on the bank, never through a view.
-    """
-
-    __slots__ = ("_bank", "_ue")
-
-    def __init__(self, bank: UplinkChannelBank, ue: int) -> None:
-        self._bank = bank
-        self._ue = ue
-
-    @property
-    def num_rbs(self) -> int:
-        return self._bank.num_rbs
-
-    @property
-    def sinr_db(self) -> np.ndarray:
-        """Per-RB SINR (dB) for the current subframe."""
-        return self._bank.sinr_row(self._ue)
-
-    def rates_bps(self) -> np.ndarray:
-        """Per-RB instantaneous CQI-model rates for the current subframe."""
-        return mcs.rb_rate_bps_array(self.sinr_db)
-
-    def mean_snr_db(self) -> float:
-        return self._bank.mean_snr_db(self._ue)

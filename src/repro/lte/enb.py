@@ -4,25 +4,21 @@ The eNB is the only node in the cell that contends for the channel
 (Fig. 2b): it runs CCA/backoff against interference *it* can hear, then owns
 a TxOP of a few subframes.  The DL part of the TxOP carries grants; the UL
 part carries the scheduled client transmissions, each gated by the client's
-own CCA.  Reception on every RB follows :func:`repro.lte.phy.receive_rb`.
+own CCA.  Reception on every RB follows :func:`repro.lte.phy.receive_rb`
+(linear receiver) or :func:`repro.lte.noma.receive_rb_sic` (SIC).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.lte import consts, mcs
 from repro.lte.noma import receive_rb_sic
-from repro.lte.phy import (
-    GrantOutcome,
-    RBReception,
-    mumimo_sinr_penalty_db,
-    receive_rb,
-)
+from repro.lte.phy import GrantOutcome, RBReception, mumimo_sinr_penalty_db
 from repro.lte.pilots import PilotObservation
 from repro.lte.resources import SubframeSchedule, TxOp
 
@@ -134,70 +130,42 @@ class ENodeB:
                 subframe, not per RB — the whole carrier is sensed).
             sinr_db_by_ue_rb: per-UE instantaneous SINRs, indexable by RB —
                 a ``{rb: sinr_db}`` dict or a per-RB ndarray row (the
-                engine's fast path hands channel-bank rows in directly).
+                engine hands channel-bank rows in directly).
+
+        Each RB decodes as :func:`repro.lte.phy.receive_rb` would (inlined
+        here for the linear receiver, minus the per-RB validation the
+        transmitter filtering makes moot) or through
+        :func:`repro.lte.noma.receive_rb_sic`.  A transmitting,
+        non-collided UE without an SINR entry raises
+        :class:`ConfigurationError`.
         """
         transmitting = set(transmitting_ues)
         result = SubframeReception(subframe=subframe)
-        receive = receive_rb_sic if self.receiver == "sic" else receive_rb
-        for rb in schedule.allocated_rbs():
-            rb_schedule = schedule.rb(rb)
-            rb_transmitters = [u for u in rb_schedule.ue_ids if u in transmitting]
-            sinr_by_ue = {
-                ue: sinr_db_by_ue_rb[ue][rb]
-                for ue in rb_transmitters
-                if ue in sinr_db_by_ue_rb
-            }
-            result.rb_receptions[rb] = receive(
-                rb_schedule=rb_schedule,
-                transmitting_ues=rb_transmitters,
-                sinr_db_by_ue=sinr_by_ue,
-                num_antennas=self.num_antennas,
-                subframe_duration_s=consts.SUBFRAME_DURATION_S,
-                rate_scale=self.rate_scale,
-            )
-        return result
-
-    def receive_subframe_fast(
-        self,
-        subframe: int,
-        schedule: SubframeSchedule,
-        transmitting_ues: Sequence[int],
-        sinr_db_by_ue_rb: Mapping[int, "Mapping[int, float] | np.ndarray"],
-    ) -> SubframeReception:
-        """:meth:`receive_subframe` with the per-RB decode inlined.
-
-        For the linear receiver this skips the per-RB validation and
-        dictionary shuffling of :func:`repro.lte.phy.receive_rb` (the engine
-        already guarantees transmitters are granted and SINRs are present)
-        while producing identical :class:`RBReception` objects.  The SIC
-        receiver falls back to the generic path.
-        """
-        if self.receiver != "linear":
-            return self.receive_subframe(
-                subframe=subframe,
-                schedule=schedule,
-                transmitting_ues=transmitting_ues,
-                sinr_db_by_ue_rb=sinr_db_by_ue_rb,
-            )
-        transmitting = set(transmitting_ues)
-        result = SubframeReception(subframe=subframe)
+        sic = self.receiver == "sic"
         antennas = self.num_antennas
         scale = self.rate_scale
         bits_per_bps = consts.SUBFRAME_DURATION_S
         rate_for = mcs.rb_rate_bps
         for rb in schedule.allocated_rbs():
             rb_schedule = schedule.rb(rb)
-            rb_transmitters = [
-                u for u in rb_schedule.ue_ids if u in transmitting
-            ]
-            detected = frozenset(rb_transmitters)
+            senders = [u for u in rb_schedule.ue_ids if u in transmitting]
+            if sic:
+                result.rb_receptions[rb] = receive_rb_sic(
+                    rb_schedule,
+                    senders,
+                    {u: sinr_db_by_ue_rb[u][rb] for u in senders
+                     if u in sinr_db_by_ue_rb},
+                    antennas,
+                    bits_per_bps,
+                    rate_scale=scale,
+                )
+                continue
+            detected = frozenset(senders)
             reception = RBReception(
                 rb=rb,
-                pilot_observation=PilotObservation(
-                    rb=rb, detected_ues=detected
-                ),
+                pilot_observation=PilotObservation(rb=rb, detected_ues=detected),
             )
-            num_streams = len(rb_transmitters)
+            num_streams = len(senders)
             collided = num_streams > antennas
             penalty = (
                 mumimo_sinr_penalty_db(num_streams, antennas)
@@ -213,9 +181,13 @@ class ENodeB:
                 elif collided:
                     outcomes[ue] = GrantOutcome.COLLIDED
                 else:
-                    achievable = scale * rate_for(
-                        sinr_db_by_ue_rb[ue][rb] + penalty
-                    )
+                    try:
+                        sinr_db = sinr_db_by_ue_rb[ue][rb]
+                    except KeyError:
+                        raise ConfigurationError(
+                            f"no SINR available for transmitting UE {ue}"
+                        ) from None
+                    achievable = scale * rate_for(sinr_db + penalty)
                     granted = grant.rate_bps
                     if achievable + 1e-9 >= granted and granted > 0:
                         outcomes[ue] = GrantOutcome.DECODED

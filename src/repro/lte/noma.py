@@ -60,6 +60,11 @@ def receive_rb_sic(
         raise ConfigurationError(
             f"transmitters {sorted(unknown)} were never granted RB {rb_schedule.rb}"
         )
+    missing = [ue for ue in transmitters if ue not in sinr_db_by_ue]
+    if missing:
+        raise ConfigurationError(
+            f"no SINR available for transmitting UE {missing[0]}"
+        )
     if granted_rate_by_ue is None:
         granted_rate_by_ue = {g.ue_id: g.rate_bps for g in rb_schedule}
 

@@ -80,6 +80,30 @@ def _normalize(payload: Any) -> Any:
     return json.loads(json.dumps(payload))
 
 
+def _identity(manifest: Mapping[str, Any]) -> Dict[str, Any]:
+    """The manifest fields that identify a run.
+
+    The format ``version`` is left out, so version-1 stores resume under
+    version-2 code.  So are retired spec fields
+    (``repro.experiments.spec.RETIRED_FIELDS``), which never changed
+    results, so stores written while specs still carried them resume
+    under code that no longer writes them.
+    """
+    from repro.experiments.spec import RETIRED_FIELDS
+
+    def current(spec: Any) -> Any:
+        if not isinstance(spec, dict):
+            return spec
+        return {k: v for k, v in spec.items() if k not in RETIRED_FIELDS}
+
+    identity = {key: value for key, value in manifest.items() if key != "version"}
+    if "spec" in identity:
+        identity["spec"] = current(identity["spec"])
+    if isinstance(identity.get("specs"), list):
+        identity["specs"] = [current(spec) for spec in identity["specs"]]
+    return identity
+
+
 def _digest(record: Mapping[str, Any]) -> str:
     """sha256 over the canonical JSON of a record (digest field excluded)."""
     undigested = {key: value for key, value in record.items() if key != "sha256"}
@@ -127,17 +151,14 @@ class CheckpointStore:
 
         Raises :class:`CheckpointError` when the directory already holds
         a manifest for a *different* run — checkpoints never mix.  The
-        comparison ignores the format ``version`` so version-1 stores
-        resume under version-2 code.
+        comparison covers the run's identity (see :func:`_identity`).
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         payload = _normalize({"version": MANIFEST_VERSION, **manifest})
         path = self.manifest_path
         if path.exists():
             stored = self.load_manifest()
-            if {k: v for k, v in stored.items() if k != "version"} != {
-                k: v for k, v in payload.items() if k != "version"
-            }:
+            if _identity(stored) != _identity(payload):
                 raise CheckpointError(
                     f"checkpoint directory {self.directory} belongs to a "
                     "different run (manifest mismatch); use a fresh "

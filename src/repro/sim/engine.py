@@ -14,15 +14,14 @@ interference/CCA → channels → arrivals → schedule → transmit/decode →
 HARQ/feedback).  The engine owns the state those stages operate on and
 drives the TxOP loop around them.
 
-Two interchangeable stage families drive the medium:
-
-* the **fast path** (default): one :class:`~repro.lte.channel.UplinkChannelBank`
-  steps every UE channel as a ``(num_ues, num_rbs)`` array op, hidden-terminal
-  silencing is a boolean reduction over the topology's cached edge matrix,
-  and activity is batch-sampled — all stream-identical to the scalar path;
-* the **legacy path** (``fast_path=False``): per-UE channel objects and
-  per-terminal process stepping, kept as the bit-exact reference the
-  fast-path regression test compares against.
+The medium is array-native: one :class:`~repro.lte.channel.UplinkChannelBank`
+steps every UE channel as a ``(num_ues, num_rbs)`` array op, hidden-terminal
+silencing is a boolean reduction over the topology's cached edge matrix,
+activity is batch-sampled, and schedulers see the CSI snapshot as a dense
+matrix.  The engine has this one substrate.  A scalar per-UE reference
+engine lives outside the package, in ``tests/reference/``, as a test
+oracle: it consumes the same RNG streams, and the equivalence suites hold
+both engines to ``tests/sim/data/engine_snapshots.json``.
 
 Observers attach through :class:`~repro.sim.stages.SimHooks` (per-stage
 and per-subframe callbacks); a ``phase_timer`` is adapted onto the same
@@ -32,7 +31,7 @@ seam via :class:`~repro.sim.stages.PhaseTimerHooks`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, FrozenSet, List, Mapping, Optional, Set, Union
+from typing import Callable, Deque, Dict, FrozenSet, List, Mapping, Optional, Set
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from repro.core.scheduling.types import SchedulingContext
 from repro.errors import ConfigurationError, SimulationError
 from repro.lte import consts
 from repro.lte import mcs
-from repro.lte.channel import UplinkChannel, UplinkChannelBank
+from repro.lte.channel import UplinkChannelBank
 from repro.lte.enb import ENodeB
 from repro.lte.harq import HarqConfig, HarqPool
 from repro.lte.traffic import FullBufferTraffic, TrafficSource, UeQueue
@@ -118,7 +117,6 @@ class CellSimulation:
         silencer: Optional[Callable[[FrozenSet[int]], Set[int]]] = None,
         seed: Optional[int] = None,
         record_series: bool = False,
-        fast_path: bool = True,
         phase_timer: Optional[PhaseTimer] = None,
         timeline: Optional[EnvironmentTimeline] = None,
         hooks: Optional[SimHooks] = None,
@@ -134,7 +132,6 @@ class CellSimulation:
         self.config = config
         self.scheduler = scheduler
         self.record_series = record_series
-        self._fast = bool(fast_path)
         self._rng = np.random.default_rng(seed)
         self._timeline_runtime = None
         structural_timeline = False
@@ -159,7 +156,7 @@ class CellSimulation:
         ):
             # Arrivals/departures/drift must flow into the activity substrate
             # and the edge-based silencer; arbitrary user substrates cannot
-            # be mutated consistently across both engine paths.
+            # be mutated consistently.
             raise ConfigurationError(
                 "a timeline with hidden-terminal events requires the "
                 "default activity model and silencer"
@@ -170,8 +167,7 @@ class CellSimulation:
             self._activity = IndependentActivity(activity_processes)
         elif timeline is not None:
             # Per-subframe stepping (no block prefetch) so mid-run arrivals,
-            # departures and re-tunes take effect immediately — and
-            # identically — on the fast and legacy paths.
+            # departures and re-tunes take effect immediately.
             self._activity = DynamicIndependentActivity(self._build_activity())
         else:
             self._activity = IndependentActivity(self._build_activity())
@@ -186,37 +182,20 @@ class CellSimulation:
         #: silencer (e.g. Scenario.power_silencer()) can replace it to model
         #: sub-threshold interferers that jointly cross the ED threshold.
         self._silencer = silencer
-        self._ue_edges = topology.ue_edge_map()
-        #: (num_terminals, num_ues) boolean silencing matrix for the fast
-        #: path: silenced = any(edge row of an active terminal).
+        #: (num_terminals, num_ues) boolean silencing matrix:
+        #: silenced = any(edge row of an active terminal).
         self._edge_matrix = topology.edge_matrix()
-        self._bank: Optional[UplinkChannelBank] = None
-        if self._fast:
-            # The bank spawns one child generator per UE in UE order — the
-            # same parent-stream consumption as the per-object loop below.
-            self._bank = UplinkChannelBank(
-                mean_rx_power_dbm=[
-                    consts.NOISE_FLOOR_10MHZ_DBM + mean_snr_db[ue]
-                    for ue in range(topology.num_ues)
-                ],
-                num_rbs=config.num_rbs,
-                doppler_coherence=config.doppler_coherence,
-                rng=self._rng,
-            )
-            self._channels = {
-                ue: self._bank.view(ue) for ue in range(topology.num_ues)
-            }
-        else:
-            self._channels = {}
-            for ue in range(topology.num_ues):
-                child = np.random.default_rng(self._rng.integers(0, 2**63))
-                self._channels[ue] = UplinkChannel(
-                    mean_rx_power_dbm=consts.NOISE_FLOOR_10MHZ_DBM
-                    + mean_snr_db[ue],
-                    num_rbs=config.num_rbs,
-                    doppler_coherence=config.doppler_coherence,
-                    rng=child,
-                )
+        # The bank spawns one child generator per UE, in UE order, from the
+        # parent stream — after the activity processes, before the eNB.
+        self._bank = UplinkChannelBank(
+            mean_rx_power_dbm=[
+                consts.NOISE_FLOOR_10MHZ_DBM + mean_snr_db[ue]
+                for ue in range(topology.num_ues)
+            ],
+            num_rbs=config.num_rbs,
+            doppler_coherence=config.doppler_coherence,
+            rng=self._rng,
+        )
 
         self.enb = ENodeB(
             num_antennas=config.num_antennas,
@@ -233,10 +212,9 @@ class CellSimulation:
             alpha=config.pf_alpha,
             initial_bps=config.pf_initial_bps,
         )
-        # Ring buffer of past SINR snapshots for CSI feedback delay: per-UE
-        # dicts on the legacy path, whole (U, R) matrices on the fast path.
-        self._csi_history: Deque[Union[Dict[int, np.ndarray], np.ndarray]] = (
-            deque(maxlen=config.csi_delay_subframes + 1)
+        # Ring buffer of past (U, R) SINR snapshots for CSI feedback delay.
+        self._csi_history: Deque[np.ndarray] = deque(
+            maxlen=config.csi_delay_subframes + 1
         )
         self._harq: Optional[HarqPool] = (
             HarqPool(
@@ -279,7 +257,7 @@ class CellSimulation:
         self.pipeline: SubframePipeline = (
             pipeline
             if pipeline is not None
-            else build_subframe_pipeline(self._fast, hooks=hooks)
+            else build_subframe_pipeline(hooks=hooks)
         )
 
     # -- internals ---------------------------------------------------------
@@ -288,8 +266,8 @@ class CellSimulation:
         """Swap in a new interference topology mid-run.
 
         The topology class is frozen, so a change is always a *new*
-        instance; re-deriving the UE edge map and the fast path's silencing
-        matrix here is what keeps the memoized caches from going stale.
+        instance; re-deriving the silencing matrix here is what keeps the
+        memoized cache from going stale.
         """
         if topology.num_ues != self.topology.num_ues:
             raise ConfigurationError(
@@ -297,7 +275,6 @@ class CellSimulation:
                 f"{self.topology.num_ues} -> {topology.num_ues}"
             )
         self.topology = topology
-        self._ue_edges = topology.ue_edge_map()
         self._edge_matrix = topology.edge_matrix()
 
     def _apply_timeline(self, t: int) -> None:
@@ -321,11 +298,7 @@ class CellSimulation:
                     f"update at subframe {t}"
                 )
         for ue in sorted(update.snr_delta_db):
-            delta = update.snr_delta_db[ue]
-            if self._fast:
-                self._bank.adjust_mean_snr_db(ue, delta)
-            else:
-                self._channels[ue].adjust_mean_snr_db(delta)
+            self._bank.adjust_mean_snr_db(ue, update.snr_delta_db[ue])
         for ue in update.joins:
             self._active_ues.add(ue)
         for ue in update.leaves:
@@ -345,59 +318,26 @@ class CellSimulation:
                 processes.append(BernoulliActivity(q, rng=child))
         return processes
 
-    def _scheduler_csi(self) -> Mapping[int, np.ndarray]:
-        """The channel state the scheduler is allowed to see (possibly
-        stale by ``csi_delay_subframes``)."""
-        if not self._csi_history:
-            return {ue: ch.sinr_db for ue, ch in self._channels.items()}
-        snapshot = self._csi_history[0]
-        if isinstance(snapshot, np.ndarray):
-            # Fast path: the snapshot is already the dense matrix.  Wrap it
-            # as a lazy per-UE row mapping instead of materializing a dict
-            # of row views — schedulers on the vectorized path consult the
-            # matrix directly, so the rows are rarely (if ever) read.
-            return _MatrixRows(snapshot)
-        return snapshot
-
     def _context(self, subframe: int, silenced: Set[int]) -> SchedulingContext:
-        backlogged = tuple(
-            ue
-            for ue in range(self.topology.num_ues)
-            if ue in self._active_ues and self._queues[ue].backlogged
-        )
-        # On the fast path the CSI snapshot already is the dense
-        # (num_ues, num_rbs) matrix the context's vectorized rate machinery
-        # needs; handing it over skips the per-UE row re-assembly.
-        sinr_matrix = None
-        if self._fast and self._csi_history:
-            snapshot = self._csi_history[0]
-            if isinstance(snapshot, np.ndarray):
-                sinr_matrix = snapshot
-        if sinr_matrix is not None:
-            return SchedulingContext.trusted(
-                subframe=subframe,
-                num_rbs=self.config.num_rbs,
-                num_antennas=self.config.num_antennas,
-                ue_ids=backlogged,
-                sinr_db=self._scheduler_csi(),
-                sinr_matrix=sinr_matrix,
-                avg_throughput_bps=self.tracker.averages(),
-                max_distinct_ues=self.config.max_distinct_ues,
-                clear_ues=frozenset(
-                    ue
-                    for ue in range(self.topology.num_ues)
-                    if ue not in silenced
-                ),
-                rate_scale=float(self.config.rb_group_size),
-                link_margin_db=self.config.link_margin_db,
-            )
-        return SchedulingContext(
+        """The scheduler's view of one UL subframe.
+
+        The CSI it sees is the oldest snapshot in the feedback ring
+        (stale by ``csi_delay_subframes``), handed over as the dense
+        ``(num_ues, num_rbs)`` matrix the context's rate machinery reads;
+        ``sinr_db`` wraps the same matrix as lazy per-UE rows.
+        """
+        snapshot = self._csi_history[0]
+        return SchedulingContext.trusted(
             subframe=subframe,
             num_rbs=self.config.num_rbs,
             num_antennas=self.config.num_antennas,
-            ue_ids=backlogged,
-            sinr_db=self._scheduler_csi(),
-            sinr_matrix=sinr_matrix,
+            ue_ids=tuple(
+                ue
+                for ue in range(self.topology.num_ues)
+                if ue in self._active_ues and self._queues[ue].backlogged
+            ),
+            sinr_db=_MatrixRows(snapshot),
+            sinr_matrix=snapshot,
             avg_throughput_bps=self.tracker.averages(),
             max_distinct_ues=self.config.max_distinct_ues,
             clear_ues=frozenset(
@@ -405,7 +345,6 @@ class CellSimulation:
             ),
             rate_scale=float(self.config.rb_group_size),
             link_margin_db=self.config.link_margin_db,
-            vectorized=self._fast,
         )
 
     # -- HARQ ----------------------------------------------------------------
@@ -439,9 +378,10 @@ class CellSimulation:
                 ):
                     retx_grant[ue] = (rb, grant, outcome)
 
+        sinr = self._bank.sinr_db
         consumed = set()
         for ue, (rb, grant, outcome) in retx_grant.items():
-            sinr_db = float(self._channels[ue].sinr_db[rb])
+            sinr_db = float(sinr[ue, rb])
             energy = 10.0 ** (sinr_db / 10.0)
             recovered = self._harq.retransmission_result(ue, energy)
             if outcome is GrantOutcome.DECODED:
@@ -462,7 +402,7 @@ class CellSimulation:
                 if (ue, rb) in consumed:
                     continue
                 if rb_reception.outcomes[ue] is GrantOutcome.FADED:
-                    sinr_db = float(self._channels[ue].sinr_db[rb])
+                    sinr_db = float(sinr[ue, rb])
                     per_rb_rate = grant.rate_bps / max(
                         self.config.rb_group_size, 1
                     )

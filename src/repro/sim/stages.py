@@ -8,18 +8,13 @@ transmission/decoding, HARQ/feedback.  Each step is a
 apply to the current subframe kind (idle / DL / UL) in order, firing
 :class:`SimHooks` callbacks around each one.
 
-Two concrete stage families implement the medium-facing steps:
-
-* the **vectorized** stages (``Vectorized*``) drive the
-  :class:`~repro.lte.channel.UplinkChannelBank` and the topology's cached
-  edge matrix with array ops;
-* the **legacy** stages (``Legacy*``) step per-UE channel objects and
-  per-terminal activity processes — the bit-exact scalar reference.
-
-Both families consume the engine's RNG streams identically, so a seeded
-run produces the same :class:`~repro.sim.results.SimulationResult` on
-either path; ``tests/sim/test_pipeline_equivalence.py`` pins that contract
-against pre-refactor snapshots.
+The medium-facing stages work on whole-cell arrays: interference is a
+boolean reduction over the topology's cached edge matrix, the channels
+step as one :class:`~repro.lte.channel.UplinkChannelBank` array op, and
+the eNB decodes straight from the bank's SINR rows.  A seeded run must
+reproduce ``tests/sim/data/engine_snapshots.json`` field for field; the
+scalar per-UE reference engine in ``tests/reference/`` is held to the same
+snapshots and checked against this pipeline by the equivalence suites.
 
 Hooks subsume the engine's older perf phase hooks:
 :class:`PhaseTimerHooks` adapts a :class:`~repro.obs.timing.PhaseTimer`
@@ -38,7 +33,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -68,16 +62,10 @@ __all__ = [
     "SubframeStage",
     "TimelineStage",
     "InterferenceStage",
-    "VectorizedInterferenceStage",
-    "LegacyInterferenceStage",
     "ChannelStage",
-    "VectorizedChannelStage",
-    "LegacyChannelStage",
     "ArrivalStage",
     "ScheduleStage",
     "TransmitDecodeStage",
-    "VectorizedTransmitDecodeStage",
-    "LegacyTransmitDecodeStage",
     "HarqFeedbackStage",
     "SubframePipeline",
     "build_subframe_pipeline",
@@ -241,7 +229,7 @@ class TimelineStage(SubframeStage):
     """Apply scripted environment churn at the subframe boundary.
 
     Events land *before* the medium is sampled, so an arrival at subframe
-    ``t`` already contends in subframe ``t`` — on both engine paths.
+    ``t`` already contends in subframe ``t``.
     """
 
     name = "timeline"
@@ -255,72 +243,36 @@ class TimelineStage(SubframeStage):
 class InterferenceStage(SubframeStage):
     """Advance hidden-terminal activity one subframe; resolve CCA.
 
-    Writes the silenced-UE set (clients whose CCA fails this subframe)
-    into the context.
+    Activity is batch-sampled as a boolean vector; the silenced-UE set
+    (clients whose CCA fails this subframe) is a reduction over the edge
+    matrix rows of the active terminals, or the engine's custom silencer.
     """
 
     name = "interference"
     phase = "activity"
 
     def run(self, sim: "CellSimulation", ctx: SubframeContext) -> None:
-        ctx.silenced = self.step(sim)
-
-    def step(self, sim: "CellSimulation") -> Set[int]:
-        raise NotImplementedError
-
-
-class VectorizedInterferenceStage(InterferenceStage):
-    """Batch activity sampling + boolean reduction over the edge matrix."""
-
-    def step(self, sim: "CellSimulation") -> Set[int]:
         active_vec = sim._activity.step_vector()
         if sim._silencer is not None:
             active = frozenset(int(k) for k in np.flatnonzero(active_vec))
-            return set(sim._silencer(active))
-        if not active_vec.any():
-            return set()
-        hit = sim._edge_matrix[active_vec].any(axis=0)
-        return {int(ue) for ue in np.flatnonzero(hit)}
-
-
-class LegacyInterferenceStage(InterferenceStage):
-    """Per-terminal process stepping + per-UE edge-set intersection."""
-
-    def step(self, sim: "CellSimulation") -> Set[int]:
-        active = sim._activity.step()
-        if sim._silencer is not None:
-            return set(sim._silencer(active))
-        return {
-            ue
-            for ue, edges in sim._ue_edges.items()
-            if edges & active
-        }
+            ctx.silenced = set(sim._silencer(active))
+        elif not active_vec.any():
+            ctx.silenced = set()
+        else:
+            hit = sim._edge_matrix[active_vec].any(axis=0)
+            ctx.silenced = {int(ue) for ue in np.flatnonzero(hit)}
 
 
 class ChannelStage(SubframeStage):
-    """Advance every UE's fading channel; snapshot CSI for delayed feedback."""
+    """Advance every UE's fading channel (one ``(num_ues, num_rbs)`` bank
+    step); snapshot CSI for delayed feedback."""
 
     name = "channels"
     phase = "channels"
 
-
-class VectorizedChannelStage(ChannelStage):
-    """One ``(num_ues, num_rbs)`` array step through the channel bank."""
-
     def run(self, sim: "CellSimulation", ctx: SubframeContext) -> None:
         sim._bank.step()
         sim._csi_history.append(sim._bank.sinr_db.copy())
-
-
-class LegacyChannelStage(ChannelStage):
-    """Per-UE channel objects stepped one by one."""
-
-    def run(self, sim: "CellSimulation", ctx: SubframeContext) -> None:
-        for channel in sim._channels.values():
-            channel.step()
-        sim._csi_history.append(
-            {ue: ch.sinr_db.copy() for ue, ch in sim._channels.items()}
-        )
 
 
 class ArrivalStage(SubframeStage):
@@ -365,24 +317,18 @@ class TransmitDecodeStage(SubframeStage):
     phase = "receive"
     kinds = (UPLINK,)
 
-    def sinr_views(
-        self, sim: "CellSimulation", scheduled: Set[int]
-    ) -> Mapping[int, object]:
-        raise NotImplementedError
-
-    def receive(self, sim: "CellSimulation"):
-        raise NotImplementedError
-
     def run(self, sim: "CellSimulation", ctx: SubframeContext) -> None:
         schedule = ctx.schedule
         result = ctx.result
         scheduled = set(schedule.scheduled_ues())
         ctx.transmitting = sorted(scheduled - ctx.silenced)
-        reception = self.receive(sim)(
+        # Views of the bank's SINR rows; the receiver indexes them per RB.
+        sinr = sim._bank.sinr_db
+        reception = sim.enb.receive_subframe(
             subframe=ctx.subframe,
             schedule=schedule,
             transmitting_ues=ctx.transmitting,
-            sinr_db_by_ue_rb=self.sinr_views(sim, scheduled),
+            sinr_db_by_ue_rb={ue: sinr[ue] for ue in scheduled},
         )
         ctx.reception = reception
 
@@ -419,33 +365,6 @@ class TransmitDecodeStage(SubframeStage):
             result.fully_utilized_subframes += 1
         if sim.record_series and allocated:
             result.utilization_series.append(utilized / len(allocated))
-
-
-class VectorizedTransmitDecodeStage(TransmitDecodeStage):
-    """Hand the eNB views of the bank's SINR rows; no per-RB copies."""
-
-    def sinr_views(self, sim: "CellSimulation", scheduled: Set[int]):
-        sinr_matrix = sim._bank.sinr_db
-        return {ue: sinr_matrix[ue] for ue in scheduled}
-
-    def receive(self, sim: "CellSimulation"):
-        return sim.enb.receive_subframe_fast
-
-
-class LegacyTransmitDecodeStage(TransmitDecodeStage):
-    """Per-(UE, RB) scalar SINR dicts through the reference receiver."""
-
-    def sinr_views(self, sim: "CellSimulation", scheduled: Set[int]):
-        return {
-            ue: {
-                rb: float(sim._channels[ue].sinr_db[rb])
-                for rb in range(sim.config.num_rbs)
-            }
-            for ue in scheduled
-        }
-
-    def receive(self, sim: "CellSimulation"):
-        return sim.enb.receive_subframe
 
 
 class HarqFeedbackStage(SubframeStage):
@@ -530,33 +449,17 @@ class SubframePipeline:
         hooks.on_subframe_end(ctx)
 
 
-def build_subframe_pipeline(
-    fast_path: bool, hooks: Optional[SimHooks] = None
-) -> SubframePipeline:
-    """The canonical stage order for one engine path.
-
-    Both paths share the timeline/arrival/schedule/HARQ stages; the
-    medium-facing stages (interference, channels, transmit/decode) come in
-    vectorized and legacy flavours that consume RNG streams identically.
-    """
-    if fast_path:
-        stages: List[SubframeStage] = [
+def build_subframe_pipeline(hooks: Optional[SimHooks] = None) -> SubframePipeline:
+    """The canonical stage order of the engine."""
+    return SubframePipeline(
+        [
             TimelineStage(),
-            VectorizedInterferenceStage(),
-            VectorizedChannelStage(),
+            InterferenceStage(),
+            ChannelStage(),
             ArrivalStage(),
             ScheduleStage(),
-            VectorizedTransmitDecodeStage(),
+            TransmitDecodeStage(),
             HarqFeedbackStage(),
-        ]
-    else:
-        stages = [
-            TimelineStage(),
-            LegacyInterferenceStage(),
-            LegacyChannelStage(),
-            ArrivalStage(),
-            ScheduleStage(),
-            LegacyTransmitDecodeStage(),
-            HarqFeedbackStage(),
-        ]
-    return SubframePipeline(stages, hooks=hooks)
+        ],
+        hooks=hooks,
+    )

@@ -316,8 +316,9 @@ class DynamicIndependentActivity(JointActivityModel):
     samples for speed, which would bake pre-churn parameters into already
     materialized booleans; this variant steps every process one subframe at
     a time instead, so a mutation takes effect on the very next subframe and
-    the fast and legacy engine paths consume identical per-process RNG
-    streams (the dynamics bit-exactness smoke relies on this).
+    the vector (:meth:`step_vector`) and per-process (:meth:`step`) views
+    consume identical per-process RNG streams (the dynamics bit-exactness
+    smoke relies on this).
     """
 
     def __init__(self, processes: Sequence[ActivityProcess]) -> None:

@@ -98,7 +98,7 @@ class InterferenceTopology:
         """``Z`` as a read-only boolean ``(num_terminals, num_ues)`` matrix.
 
         The matrix is built once and cached on the (frozen) instance; the
-        simulation fast path uses it to compute the silenced-UE set of a
+        simulation engine uses it to compute the silenced-UE set of a
         subframe as a single boolean reduction instead of per-UE set
         intersections.
         """

@@ -1,5 +1,7 @@
 """Campaign runner: sharded == serial, checkpoints, faults, obs merge."""
 
+import json
+
 import pytest
 
 from repro.deploy import DeploymentSpec, PlacementSpec, build_deployment, run_campaign
@@ -75,6 +77,20 @@ class TestCheckpointResume:
             store.cell_path(index).unlink()
         resumed = resume_campaign(directory, n_jobs=2)
         assert resumed.cell_results == full.cell_results
+        assert resumed.cell_results == serial_campaign.cell_results
+
+    def test_manifest_with_retired_fast_path_resumes(
+        self, tmp_path, serial_campaign
+    ):
+        directory = tmp_path / "ckpt"
+        run_campaign(campaign_spec(), n_jobs=1, checkpoint_dir=directory)
+        store = CheckpointStore(directory)
+        manifest = json.loads(store.manifest_path.read_text())
+        manifest["spec"]["fast_path"] = True
+        store.manifest_path.write_text(json.dumps(manifest))
+        for index in sorted(store.completed())[::2]:
+            store.cell_path(index).unlink()
+        resumed = resume_campaign(directory, n_jobs=1)
         assert resumed.cell_results == serial_campaign.cell_results
 
     def test_resume_checkpoint_dispatches_deploy(self, tmp_path):
@@ -159,6 +175,23 @@ class TestReportAndObs:
         a, b = serial.obs_snapshot(), sharded.obs_snapshot()
         assert a is not None and b is not None
         assert a.to_dict() == b.to_dict()
+
+    def test_one_engine_per_cell_with_obs(self, monkeypatch):
+        import repro.deploy.runner as runner
+
+        hooks_seen = []
+
+        class CountingSimulation(runner.CellSimulation):
+            def __init__(self, *args, **kwargs):
+                hooks_seen.append(kwargs.get("hooks"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "CellSimulation", CountingSimulation)
+        spec = campaign_spec(obs=ObsConfig(enabled=True))
+        campaign = run_campaign(spec, n_jobs=1)
+        assert campaign.complete
+        assert len(hooks_seen) == campaign.num_cells
+        assert all(hooks is not None for hooks in hooks_seen)
 
     def test_no_obs_no_snapshot(self, serial_campaign):
         assert serial_campaign.obs_snapshot() is None

@@ -69,6 +69,15 @@ class TestDeploymentSpec:
         again = DeploymentSpec.from_json(spec.to_json())
         assert again == spec
 
+    def test_retired_fast_path(self):
+        data = demo_spec().to_dict()
+        assert "fast_path" not in data
+        data["fast_path"] = True
+        assert DeploymentSpec.from_dict(data) == demo_spec()
+        data["fast_path"] = False
+        with pytest.raises(SpecError, match="scalar engine path was removed"):
+            DeploymentSpec.from_dict(data)
+
     def test_kind_marker_serialized(self):
         assert demo_spec().to_dict()["kind"] == DEPLOYMENT_KIND
 

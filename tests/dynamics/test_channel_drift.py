@@ -9,14 +9,16 @@ from repro.experiments import (
     ScenarioSpec,
     SchedulerSpec,
     TimelineSpec,
+    build_experiment,
     run_experiment,
 )
 from repro.sim.config import SimulationConfig
 from repro.spectrum import ChannelPlan
 from repro.topology.scenarios import channel_drift_timeline
+from tests.reference import reference_simulation
 
 
-def drift_spec(fast_path: bool = True) -> ExperimentSpec:
+def drift_spec() -> ExperimentSpec:
     return ExperimentSpec(
         name="fig1-channel-drift",
         scenario=ScenarioSpec(
@@ -41,7 +43,6 @@ def drift_spec(fast_path: bool = True) -> ExperimentSpec:
             },
         ),
         seed=11,
-        fast_path=fast_path,
     )
 
 
@@ -72,8 +73,8 @@ class TestTimelineBuilder:
 
 class TestComposesWithChannels:
     def test_runs_end_to_end_and_paths_agree(self):
-        fast = run_experiment(drift_spec(fast_path=True))["pf"]
-        legacy = run_experiment(drift_spec(fast_path=False))["pf"]
+        fast = run_experiment(drift_spec())["pf"]
+        legacy = reference_simulation(build_experiment(drift_spec()), "pf").run()
         assert fast.to_dict() == legacy.to_dict()
 
     def test_round_trips_through_json(self):

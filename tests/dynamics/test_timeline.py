@@ -26,6 +26,7 @@ from repro.topology.scenarios import (
     uniform_snrs,
 )
 from repro.topology.scenarios import testbed_topology as build_testbed
+from tests.reference import ReferenceCellSimulation
 
 
 @pytest.fixture
@@ -188,20 +189,19 @@ class TestScenarioBuilders:
 class TestEngineIntegration:
     """The timeline actually flows through the simulation substrate."""
 
-    def run(self, timeline, fast_path=True, subframes=1500, seed=11):
+    def run(self, timeline, engine=CellSimulation, subframes=1500, seed=11):
         from repro.core.scheduling.pf import ProportionalFairScheduler
 
         topology = build_testbed(
             num_ues=4, hts_per_ue=1, activity=0.2, seed=5
         )
-        sim = CellSimulation(
+        sim = engine(
             topology,
             uniform_snrs(4, seed=6),
             ProportionalFairScheduler(),
             SimulationConfig(num_subframes=subframes, num_rbs=6),
             seed=seed,
             record_series=True,
-            fast_path=fast_path,
             timeline=timeline,
         )
         return sim.run()
@@ -217,8 +217,8 @@ class TestEngineIntegration:
         timeline = hidden_node_churn_timeline(
             arrive_at=400, q=0.5, ues=(0, 1), depart_at=1000
         )
-        fast = self.run(timeline, fast_path=True)
-        legacy = self.run(timeline, fast_path=False)
+        fast = self.run(timeline)
+        legacy = self.run(timeline, engine=ReferenceCellSimulation)
         assert fast.aggregate_throughput_mbps == pytest.approx(
             legacy.aggregate_throughput_mbps
         )

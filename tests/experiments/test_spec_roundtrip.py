@@ -55,7 +55,6 @@ class TestRoundTrip:
                 params={"arrive_at": 50, "q": 0.6, "ues": [0, 1]},
             ),
             record_series=True,
-            fast_path=False,
             seed=None,
         )
         assert ExperimentSpec.from_json(spec.to_json()) == spec
@@ -81,6 +80,23 @@ class TestRoundTrip:
         assert shifted.seed == 9 and spec.seed == 5
         with pytest.raises(SpecError):
             spec.replace(schedulers={})
+
+
+class TestRetiredFastPath:
+    """Specs written while ``fast_path`` existed still load."""
+
+    def test_true_is_dropped(self):
+        data = small_spec().to_dict()
+        assert "fast_path" not in data
+        data["fast_path"] = True
+        assert ExperimentSpec.from_dict(data) == small_spec()
+
+    @pytest.mark.parametrize("value", [False, 0, "true"])
+    def test_anything_else_names_the_removed_path(self, value):
+        data = small_spec().to_dict()
+        data["fast_path"] = value
+        with pytest.raises(SpecError, match="scalar engine path was removed"):
+            ExperimentSpec.from_dict(data)
 
 
 class TestValidation:

@@ -97,6 +97,24 @@ class TestENodeB:
         assert reception.utilized_rbs() == 1
         assert reception.delivered_bits_by_ue() == {0: pytest.approx(100.0)}
 
+    @pytest.mark.parametrize("receiver", ["linear", "sic"])
+    def test_missing_sinr_is_a_configuration_error(self, receiver):
+        # A transmitting, non-collided UE needs an SINR entry; a missing
+        # one is a caller error, not a KeyError from deep in the decoder.
+        enb = ENodeB(num_antennas=2, num_rbs=1, receiver=receiver)
+        schedule = SubframeSchedule(num_rbs=1)
+        schedule.add_grant(UplinkGrant(ue_id=0, rb=0, rate_bps=1e5))
+        schedule.add_grant(
+            UplinkGrant(ue_id=1, rb=0, rate_bps=1e5, pilot_index=1)
+        )
+        with pytest.raises(ConfigurationError, match="UE 1"):
+            enb.receive_subframe(
+                subframe=0,
+                schedule=schedule,
+                transmitting_ues=[0, 1],
+                sinr_db_by_ue_rb={0: {0: 25.0}},
+            )
+
     def test_receive_subframe_empty_schedule(self):
         enb = ENodeB(num_antennas=1, num_rbs=2)
         reception = enb.receive_subframe(

@@ -240,6 +240,22 @@ class TestGridCheckpointing:
         assert triples == fresh
         assert store.completed() == {0, 1, 2, 3}
 
+    def test_manifest_with_retired_fast_path_resumes(self, tmp_path):
+        # Stores written while specs carried "fast_path": true resume
+        # without a manifest mismatch, bit-identically.
+        spec = small_spec()
+        fresh = run_experiment_grid(spec, [0, 1])
+        directory = tmp_path / "ck"
+        run_experiment_grid(spec, [0, 1], checkpoint_dir=directory)
+        store = CheckpointStore(directory)
+        manifest = json.loads(store.manifest_path.read_text())
+        manifest["spec"]["fast_path"] = True
+        store.manifest_path.write_text(json.dumps(manifest))
+        store.cell_path(1).unlink()
+        kind, triples = resume_checkpoint(directory)
+        assert kind == "grid"
+        assert triples == fresh
+
     def test_resume_unknown_kind(self, tmp_path):
         directory = tmp_path / "ck"
         store = CheckpointStore(directory)

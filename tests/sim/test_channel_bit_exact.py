@@ -5,8 +5,8 @@ by the channel-free engine.  These tests wrap each snapshot scenario's
 topology in a :class:`MultiChannelTopology` over the default single-channel
 plan, resolve the trivial all-on-channel-0 assignment through
 ``effective_topology``, and require the engine to reproduce the committed
-results field for field — on the fast path, the legacy path, and with the
-compiled kernel disabled.  Any RNG-stream or edge-ordering drift introduced
+results field for field — on the production engine, the scalar reference
+engine in ``tests/reference/``, and with the compiled kernel disabled.  Any RNG-stream or edge-ordering drift introduced
 by the channel axis shows up here as a hard failure.
 """
 
@@ -20,6 +20,7 @@ from repro.core.scheduling.pf import ProportionalFairScheduler
 from repro.sim.engine import CellSimulation
 from repro.spectrum import ChannelPlan
 from repro.topology.multichannel import MultiChannelTopology
+from tests.reference import ReferenceCellSimulation
 from tests.sim.test_pipeline_equivalence import snapshot_cases
 
 SNAPSHOT_PATH = Path(__file__).parent / "data" / "engine_snapshots.json"
@@ -38,13 +39,13 @@ def run_channelized(name, fast):
         multi = MultiChannelTopology.from_base(topology, ChannelPlan.default())
         resolved = multi.effective_topology((0,) * topology.num_ues)
         assert resolved == topology
-        return CellSimulation(
+        engine = CellSimulation if fast else ReferenceCellSimulation
+        return engine(
             topology=resolved,
             mean_snr_db=snrs,
             scheduler=ProportionalFairScheduler(),
             config=config,
             seed=11,
-            fast_path=fast,
             timeline=timeline,
         ).run()
     raise KeyError(name)

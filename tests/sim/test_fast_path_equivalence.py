@@ -1,11 +1,11 @@
-"""Seeded regression tests: the vectorized fast path and the parallel
-runner must be bit-exact with the scalar/serial reference.
+"""Seeded regression tests: the engine and the parallel runner must be
+bit-exact with the scalar/serial reference.
 
-The engine keeps two substrates (``fast_path=True``/``False``) whose RNG
-stream consumption is identical by construction; these tests pin that
-contract for SISO, MU-MIMO, both activity kinds, the SIC receiver, and a
-custom silencer.  The runner tests pin that ``n_jobs > 1`` returns results
-identical to serial execution.
+The production engine and the scalar reference engine in
+``tests/reference/`` consume RNG streams identically by construction;
+these tests pin that contract for SISO, MU-MIMO, both activity kinds, the
+SIC receiver, and a custom silencer.  The runner tests pin that
+``n_jobs > 1`` returns results identical to serial execution.
 """
 
 import warnings
@@ -22,20 +22,20 @@ from repro.sim.engine import CellSimulation
 from repro.sim.runner import run_comparison, run_replications, run_sweep
 from repro.topology.scenarios import skewed_topology, uniform_snrs
 from repro.topology.scenarios import testbed_topology as make_testbed_topology
+from tests.reference import ReferenceCellSimulation
 
 
 def run_pair(topology, snrs, config, seed=11, scheduler=ProportionalFairScheduler,
              **kwargs):
-    """Run the same seeded scenario on both substrates."""
+    """Run the same seeded scenario on the engine and on the reference."""
     results = []
-    for fast in (True, False):
-        simulation = CellSimulation(
+    for engine in (CellSimulation, ReferenceCellSimulation):
+        simulation = engine(
             topology=topology,
             mean_snr_db=snrs,
             scheduler=scheduler(),
             config=config,
             seed=seed,
-            fast_path=fast,
             **kwargs,
         )
         results.append(simulation.run())

@@ -2,11 +2,18 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro import errors
+from repro.deploy import DeploymentSpec
+from repro.experiments import ExperimentPlan, ExperimentSpec
+from repro.sim import CellSimulation
 
 
 PACKAGES = [
@@ -80,3 +87,56 @@ class TestDocstrings:
                 if not (obj.__doc__ or "").strip():
                     undocumented.append(f"{package}.{name}")
         assert not undocumented, f"missing docstrings: {undocumented}"
+
+
+class TestSingleEnginePath:
+    """One production engine; the scalar reference lives in tests/."""
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            CellSimulation,
+            ExperimentPlan.simulation,
+            ExperimentSpec,
+            DeploymentSpec,
+        ],
+        ids=lambda target: target.__qualname__,
+    )
+    def test_no_fast_path_parameter(self, target):
+        assert "fast_path" not in inspect.signature(target).parameters
+
+    def test_stage_exports_name_one_substrate(self):
+        from repro.sim import stages
+
+        flavoured = [
+            name
+            for name in stages.__all__
+            if name.startswith(("Legacy", "Vectorized"))
+        ]
+        assert not flavoured
+
+    def test_running_a_spec_never_imports_the_reference(self):
+        root = Path(__file__).resolve().parent.parent
+        script = (
+            "import sys\n"
+            "from repro.experiments import ExperimentSpec, run_experiment\n"
+            "spec = ExperimentSpec.from_dict({\n"
+            "    'name': 'imports', 'seed': 1,\n"
+            "    'scenario': {'kind': 'testbed', 'params': {'num_ues': 3,\n"
+            "        'hts_per_ue': 1, 'seed': 2}, 'snr': {'kind': 'uniform'}},\n"
+            "    'sim': {'num_subframes': 60, 'num_rbs': 4},\n"
+            "    'schedulers': {'pf': {'kind': 'pf'}}})\n"
+            "assert run_experiment(spec)['pf'].num_subframes == 60\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'tests'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert completed.stdout.strip() == "[]"
