@@ -13,7 +13,12 @@ verifies the two produce identical results (they are bit-exact under a
 shared seed), and reports subframes/sec plus the engine's phase
 breakdown.  Report keys keep their historical names: ``fast_*`` is the
 production engine, ``legacy_*`` the reference.  Results land in
-``BENCH_engine.json`` at the repository root.
+``BENCH_engine.json`` at the repository root, merged by top-level key: a
+run replaces the entries it measured (``scenarios``, and ``dynamics``,
+``channels``, ``deployment`` or ``obs_stream`` when asked for) and keeps
+the others.  Each entry it writes carries a ``provenance`` stamp: git
+revision (``-dirty`` with uncommitted changes), numpy version, usable
+cores and whether the compiled greedy kernel was on.
 
 Usage::
 
@@ -51,9 +56,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 # The repository root, for the reference engine in tests/reference/.
@@ -81,7 +90,46 @@ SCENARIOS = (
     ("large", 48, 12, 25, 4, 4_000),
 )
 
-OUTPUT_PATH = Path(__file__).parent.parent / "BENCH_engine.json"
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUT_PATH = ROOT / "BENCH_engine.json"
+
+
+def git_revision() -> str | None:
+    """``HEAD``'s sha, suffixed ``-dirty`` when tracked files changed."""
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+            text=True, check=True,
+        ).stdout.strip()
+        dirty = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=ROOT, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return f"{sha}-dirty" if dirty else sha
+
+
+def provenance() -> dict:
+    """Where a measurement came from."""
+    from repro.core.scheduling._kernel import kernel_available
+
+    return {
+        "git_sha": git_revision(),
+        "numpy": np.__version__,
+        "nproc": len(os.sched_getaffinity(0)),
+        "kernel": kernel_available(),
+    }
+
+
+def merge_report(path: Path, entries: dict, stamp: dict) -> dict:
+    """Write ``entries`` into the JSON report at ``path``, replacing those
+    keys and keeping every other; each entry is stamped with ``stamp``."""
+    report = json.loads(path.read_text()) if path.is_file() else {}
+    for key, entry in entries.items():
+        report[key] = {**entry, "provenance": stamp}
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    return report
 
 
 def build_spec(name: str, num_ues: int, num_terminals: int, num_rbs: int,
@@ -583,19 +631,11 @@ def main(argv=None) -> int:
     if args.obs_overhead:
         entry = obs_overhead(args.smoke)
         if not args.smoke:
-            # Update the committed report in place rather than clobbering
-            # the scenario timings a full run wrote.
-            existing = (
-                json.loads(args.output.read_text())
-                if args.output.is_file()
-                else {}
-            )
-            existing["obs_stream"] = entry
-            args.output.write_text(json.dumps(existing, indent=2) + "\n")
+            merge_report(args.output, {"obs_stream": entry}, provenance())
             print(f"updated {args.output} (obs_stream)")
         return 0
 
-    report = {"smoke": args.smoke, "scenarios": {}}
+    report = {"scenarios": {}}
     for name, ues, terminals, rbs, antennas, subframes in SCENARIOS:
         if args.smoke:
             subframes = 300
@@ -647,8 +687,8 @@ def main(argv=None) -> int:
         report["deployment"] = bench_deployment(args.smoke, args.deploy_jobs)
 
     if not args.smoke:
-        args.output.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {args.output}")
+        merge_report(args.output, report, provenance())
+        print(f"updated {args.output} ({', '.join(report)})")
     return 0
 
 

@@ -16,10 +16,9 @@ pilot discrimination logic (collision vs fading vs blocking).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import FrozenSet
 
-from repro.lte.enb import SubframeReception
-from repro.lte.phy import GrantOutcome
+from repro.lte.enb import COLLIDED, DECODED, FADED, SubframeReception
 from repro.lte.resources import SubframeSchedule
 
 __all__ = ["AccessObservation", "classify_subframe"]
@@ -52,36 +51,26 @@ def classify_subframe(
     A UE scheduled on several RBs accessed the channel iff any of its RBs
     shows a pilot (CCA is per-subframe, so in practice all of them do).
     The decoded/collided/faded breakdown is per-UE: a UE is "decoded" if at
-    least one of its grants delivered data.
+    least one of its grants delivered data, else "collided" if one of its
+    grants collided, else "faded" if one faded.
+
+    Reads the reception's per-grant outcome codes; ``reception`` must be
+    the decode of ``schedule``.
     """
-    scheduled: Set[int] = set(schedule.scheduled_ues())
-    outcome_by_ue: Dict[int, Set[GrantOutcome]] = {ue: set() for ue in scheduled}
-    for rb_reception in reception.rb_receptions.values():
-        for ue, outcome in rb_reception.outcomes.items():
-            outcome_by_ue.setdefault(ue, set()).add(outcome)
-
-    accessed: Set[int] = set()
-    blocked: Set[int] = set()
-    collided: Set[int] = set()
-    faded: Set[int] = set()
-    decoded: Set[int] = set()
-    for ue, outcomes in outcome_by_ue.items():
-        if outcomes and outcomes != {GrantOutcome.BLOCKED}:
-            accessed.add(ue)
-        else:
-            blocked.add(ue)
-        if GrantOutcome.DECODED in outcomes:
-            decoded.add(ue)
-        elif GrantOutcome.COLLIDED in outcomes:
-            collided.add(ue)
-        elif GrantOutcome.FADED in outcomes:
-            faded.add(ue)
-
+    grants = reception.grants
+    by_code = (set(), set(), set(), set())
+    for ue, code in zip(grants.ue_list, reception.codes.tolist()):
+        by_code[code].add(ue)
+    decoded = by_code[DECODED]
+    collided = by_code[COLLIDED] - decoded
+    faded = by_code[FADED] - decoded - collided
+    accessed = decoded | by_code[COLLIDED] | by_code[FADED]
+    scheduled = grants.scheduled_set
     return AccessObservation(
         subframe=reception.subframe,
-        scheduled=frozenset(scheduled),
+        scheduled=scheduled,
         accessed=frozenset(accessed),
-        blocked=frozenset(blocked),
+        blocked=scheduled - accessed,
         collided=frozenset(collided),
         faded=frozenset(faded),
         decoded=frozenset(decoded),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.lte.phy import GrantOutcome
+from repro.lte.enb import OUTCOMES
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import EventTracer
 from repro.sim.stages import IDLE, UPLINK, SimHooks, SubframeContext, SubframeStage
@@ -21,13 +21,17 @@ __all__ = ["MetricsHooks", "TracingHooks"]
 #: RB-utilization histogram bucket edges (fraction of allocated RBs used).
 _UTIL_BUCKETS = (0.2, 0.4, 0.6, 0.8, 0.99)
 
+#: ``outcome`` label value per outcome code.
+_OUTCOME_LABELS = tuple(outcome.name.lower() for outcome in OUTCOMES)
+
 
 class MetricsHooks(SimHooks):
     """Feed engine-level counters from the per-subframe context.
 
-    All accounting happens in :meth:`on_subframe_end` — one pass over the
-    reception outcomes per UL subframe, identical to what the
-    transmit/decode stage already computed for the result counters.  Grant
+    All accounting happens in :meth:`on_subframe_end`, from the outcome
+    tallies the transmit/decode stage stored on the context (``ctx.counts``
+    — the same numbers the result counters add up); only the per-channel
+    breakdown walks the per-grant outcome codes.  Grant
     *bursts* (one scheduler consultation per TxOP) are detected by
     schedule identity, which is exact even for back-to-back TxOPs.
 
@@ -125,53 +129,51 @@ class MetricsHooks(SimHooks):
         if schedule is not self._last_schedule:
             self._last_schedule = schedule
             self._bursts.inc()
-        self._grants_issued.inc(schedule.total_grants)
-        silenced_scheduled = len(
-            ctx.silenced.intersection(schedule.scheduled_ues())
-        )
+        counts = ctx.counts
+        if counts is not None:
+            self._grants_issued.inc(counts.issued)
+            scheduled = ctx.reception.grants.scheduled_set
+        else:
+            self._grants_issued.inc(schedule.total_grants)
+            scheduled = schedule.scheduled_ues()
+        silenced_scheduled = len(ctx.silenced.intersection(scheduled))
         if silenced_scheduled:
             self._ues_silenced.inc(silenced_scheduled)
 
-        reception = ctx.reception
-        if reception is not None:
-            decoded = blocked = collided = faded = utilized = 0
-            for rb_reception in reception.rb_receptions.values():
-                rb_decoded = False
-                for ue, outcome in rb_reception.outcomes.items():
-                    if outcome is GrantOutcome.DECODED:
-                        decoded += 1
-                        rb_decoded = True
-                    elif outcome is GrantOutcome.BLOCKED:
-                        blocked += 1
-                    elif outcome is GrantOutcome.COLLIDED:
-                        collided += 1
-                    else:
-                        faded += 1
-                    if self._channel_outcomes is not None and ue < len(
-                        self._ue_channels
-                    ):
-                        self._channel_outcomes.labels(
-                            channel=str(self._ue_channels[ue]),
-                            outcome=outcome.name.lower(),
-                        ).inc()
-                if rb_decoded:
-                    utilized += 1
-            if decoded:
-                self._decoded.inc(decoded)
-            if blocked:
-                self._blocked.inc(blocked)
-            if collided:
-                self._collided.inc(collided)
-            if faded:
-                self._faded.inc(faded)
-            allocated = len(schedule.allocated_rbs())
-            if allocated:
-                self._rb_util.observe(utilized / allocated)
+        if counts is not None:
+            if counts.decoded:
+                self._decoded.inc(counts.decoded)
+            if counts.blocked:
+                self._blocked.inc(counts.blocked)
+            if counts.collided:
+                self._collided.inc(counts.collided)
+            if counts.faded:
+                self._faded.inc(counts.faded)
+            if counts.allocated:
+                self._rb_util.observe(counts.utilized / counts.allocated)
+            if self._channel_outcomes is not None:
+                self._count_channel_outcomes(ctx.reception)
 
         harq = ctx.result.harq_retransmissions
         if harq != self._last_harq:
             self._harq.inc(harq - self._last_harq)
             self._last_harq = harq
+
+    def _count_channel_outcomes(self, reception) -> None:
+        """Per-(channel, outcome) grant counts, children created in the
+        order the grants first reach each pair (RB, then grant order)."""
+        channels = self._ue_channels
+        known = len(channels)
+        tally: dict = {}
+        for ue, code in zip(reception.grants.ue_list, reception.codes.tolist()):
+            if ue < known:
+                key = (channels[ue], code)
+                tally[key] = tally.get(key, 0) + 1
+        family = self._channel_outcomes
+        for (channel, code), count in tally.items():
+            family.labels(
+                channel=str(channel), outcome=_OUTCOME_LABELS[code]
+            ).inc(count)
 
 
 class TracingHooks(SimHooks):

@@ -42,10 +42,9 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.lte import consts
 from repro.lte import mcs
 from repro.lte.channel import UplinkChannelBank
-from repro.lte.enb import ENodeB
+from repro.lte.enb import DECODED, FADED, ENodeB, GrantArrays, SubframeReception
 from repro.lte.harq import HarqConfig, HarqPool
 from repro.lte.traffic import FullBufferTraffic, TrafficSource, UeQueue
-from repro.lte.phy import GrantOutcome
 from repro.lte.resources import SubframeSchedule
 from repro.obs.timing import PhaseTimer
 from repro.dynamics.timeline import (
@@ -241,6 +240,9 @@ class CellSimulation:
         #: Schedule held across the UL subframes of one TxOP; the run loop
         #: clears it at each TxOP boundary and the ScheduleStage refills it.
         self._current_schedule: Optional[SubframeSchedule] = None
+        #: The held schedule flattened for the receiver; the decode stage
+        #: rebuilds it whenever the schedule object changes.
+        self._grants: Optional[GrantArrays] = None
         self._reschedule_each = bool(
             getattr(scheduler, "reschedule_every_subframe", False)
         )
@@ -351,8 +353,7 @@ class CellSimulation:
 
     def _apply_harq(
         self,
-        schedule: SubframeSchedule,
-        reception,
+        reception: SubframeReception,
         transmitting: Set[int],
         raw_delivered: Dict[int, float],
     ) -> Dict[int, float]:
@@ -363,62 +364,58 @@ class CellSimulation:
         gives full energy (and its new-data bits are forfeited), a FADED
         one still contributes soft energy.  Fresh FADED grants enter the
         pool; collided grants produce no usable soft bits and are dropped.
+        Grants are visited in RB order, then grant order.
         """
+        harq = self._harq
+        grants = reception.grants
+        ue_list = grants.ue_list
+        codes = reception.codes.tolist()
         delivered = dict(raw_delivered)
-        retx_grant: Dict[int, tuple] = {}
-        for rb in schedule.allocated_rbs():
-            rb_reception = reception.rb_receptions[rb]
-            for grant in schedule.rb(rb):
-                ue = grant.ue_id
-                outcome = rb_reception.outcomes[ue]
-                if (
-                    ue not in retx_grant
-                    and self._harq.pending(ue) is not None
-                    and outcome in (GrantOutcome.DECODED, GrantOutcome.FADED)
-                ):
-                    retx_grant[ue] = (rb, grant, outcome)
+        retx_grant: Dict[int, int] = {}
+        for index, code in enumerate(codes):
+            if code == DECODED or code == FADED:
+                ue = ue_list[index]
+                if ue not in retx_grant and harq.pending(ue) is not None:
+                    retx_grant[ue] = index
 
         sinr = self._bank.sinr_db
-        consumed = set()
-        for ue, (rb, grant, outcome) in retx_grant.items():
-            sinr_db = float(sinr[ue, rb])
+        rb_list = grants.rb_list
+        rate_list = grants.rate_list
+        for ue, index in retx_grant.items():
+            sinr_db = float(sinr[ue, rb_list[index]])
             energy = 10.0 ** (sinr_db / 10.0)
-            recovered = self._harq.retransmission_result(ue, energy)
-            if outcome is GrantOutcome.DECODED:
+            recovered = harq.retransmission_result(ue, energy)
+            if codes[index] == DECODED:
                 # The grant carried the retransmission, not new data.
-                delivered[ue] = delivered.get(ue, 0.0) - grant.rate_bps * (
+                delivered[ue] = delivered.get(ue, 0.0) - rate_list[index] * (
                     consts.SUBFRAME_DURATION_S
                 )
                 if delivered.get(ue, 0.0) <= 1e-12:
                     delivered.pop(ue, None)
             if recovered is not None:
                 delivered[ue] = delivered.get(ue, 0.0) + recovered
-            consumed.add((ue, rb))
 
-        for rb in schedule.allocated_rbs():
-            rb_reception = reception.rb_receptions[rb]
-            for grant in schedule.rb(rb):
-                ue = grant.ue_id
-                if (ue, rb) in consumed:
-                    continue
-                if rb_reception.outcomes[ue] is GrantOutcome.FADED:
-                    sinr_db = float(sinr[ue, rb])
-                    per_rb_rate = grant.rate_bps / max(
-                        self.config.rb_group_size, 1
-                    )
-                    try:
-                        required_db = mcs.min_sinr_db_for_rate(per_rb_rate)
-                    except ValueError:
-                        continue
-                    self._harq.first_attempt_failed(
-                        ue,
-                        bits=grant.rate_bps * consts.SUBFRAME_DURATION_S,
-                        required_sinr_linear=10.0 ** (required_db / 10.0),
-                        attempt_sinr_linear=10.0 ** (sinr_db / 10.0),
-                    )
-        for ue in set(schedule.scheduled_ues()) - transmitting:
-            if self._harq.pending(ue) is not None:
-                self._harq.retransmission_blocked(ue)
+        consumed = set(retx_grant.values())
+        group = max(self.config.rb_group_size, 1)
+        for index, code in enumerate(codes):
+            if code != FADED or index in consumed:
+                continue
+            ue = ue_list[index]
+            sinr_db = float(sinr[ue, rb_list[index]])
+            rate = rate_list[index]
+            try:
+                required_db = mcs.min_sinr_db_for_rate(rate / group)
+            except ValueError:
+                continue
+            harq.first_attempt_failed(
+                ue,
+                bits=rate * consts.SUBFRAME_DURATION_S,
+                required_sinr_linear=10.0 ** (required_db / 10.0),
+                attempt_sinr_linear=10.0 ** (sinr_db / 10.0),
+            )
+        for ue in grants.scheduled_set - transmitting:
+            if harq.pending(ue) is not None:
+                harq.retransmission_blocked(ue)
         return delivered
 
     # -- main loop -----------------------------------------------------------

@@ -11,7 +11,8 @@ apply to the current subframe kind (idle / DL / UL) in order, firing
 The medium-facing stages work on whole-cell arrays: interference is a
 boolean reduction over the topology's cached edge matrix, the channels
 step as one :class:`~repro.lte.channel.UplinkChannelBank` array op, and
-the eNB decodes straight from the bank's SINR rows.  A seeded run must
+the eNB decodes a burst's grants as arrays, with SINRs gathered from the
+bank in one indexing op.  A seeded run must
 reproduce ``tests/sim/data/engine_snapshots.json`` field for field; the
 scalar per-UE reference engine in ``tests/reference/`` is held to the same
 snapshots and checked against this pipeline by the equivalence suites.
@@ -43,7 +44,7 @@ import numpy as np
 
 from repro.core.measurement.classifier import classify_subframe
 from repro.lte import consts
-from repro.lte.phy import GrantOutcome
+from repro.lte.enb import OutcomeCounts, SubframeReception
 from repro.lte.resources import SubframeSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,7 +92,10 @@ class SubframeContext:
     Earlier stages populate fields that later stages consume: the
     interference stage writes ``silenced``, the schedule stage writes
     ``schedule``, the transmit/decode stage writes ``transmitting``,
-    ``reception`` and ``raw_delivered`` for the HARQ/feedback stage.
+    ``reception`` (the per-grant outcome codes), ``counts`` (the
+    subframe's outcome and RB tallies, read by the result accounting and
+    the metrics hooks alike) and ``raw_delivered`` for the HARQ/feedback
+    stage.
     """
 
     subframe: int
@@ -100,7 +104,8 @@ class SubframeContext:
     silenced: Set[int] = field(default_factory=set)
     schedule: Optional[SubframeSchedule] = None
     transmitting: List[int] = field(default_factory=list)
-    reception: object = None
+    reception: Optional[SubframeReception] = None
+    counts: Optional[OutcomeCounts] = None
     raw_delivered: Dict[int, float] = field(default_factory=dict)
 
 
@@ -306,11 +311,14 @@ class ScheduleStage(SubframeStage):
 
 
 class TransmitDecodeStage(SubframeStage):
-    """Scheduled UEs sense and transmit; the eNB decodes every RB.
+    """Scheduled UEs sense and transmit; the eNB decodes every grant.
 
-    Accounts grant outcomes, RB utilization and raw delivered bits in one
-    pass over the receptions (identity checks, no enum hashing), leaving
-    HARQ resolution and feedback to the next stage.
+    The burst's grants are flattened once per schedule
+    (:class:`~repro.lte.enb.GrantArrays`); each UL subframe then gathers
+    the grants' SINRs from the channel bank and decodes them in one array
+    pass.  The outcome tallies are computed once, from the codes, into
+    ``ctx.counts``; raw delivered bits are summed per UE in RB order.
+    HARQ resolution and feedback are left to the next stage.
     """
 
     name = "transmit-decode"
@@ -319,52 +327,36 @@ class TransmitDecodeStage(SubframeStage):
 
     def run(self, sim: "CellSimulation", ctx: SubframeContext) -> None:
         schedule = ctx.schedule
-        result = ctx.result
-        scheduled = set(schedule.scheduled_ues())
-        ctx.transmitting = sorted(scheduled - ctx.silenced)
-        # Views of the bank's SINR rows; the receiver indexes them per RB.
+        grants = sim._grants
+        if grants is None or grants.schedule is not schedule:
+            grants = sim._grants = sim.enb.grant_arrays(schedule)
+        silenced = ctx.silenced
+        ctx.transmitting = sorted(grants.scheduled_set.difference(silenced))
         sinr = sim._bank.sinr_db
-        reception = sim.enb.receive_subframe(
-            subframe=ctx.subframe,
-            schedule=schedule,
-            transmitting_ues=ctx.transmitting,
-            sinr_db_by_ue_rb={ue: sinr[ue] for ue in scheduled},
+        reception = ctx.reception = sim.enb.decode(
+            ctx.subframe,
+            grants,
+            grants.transmit_mask(silenced),
+            sinr.take(grants.flat_index(sinr.shape[1])),
         )
-        ctx.reception = reception
+        counts = ctx.counts = reception.counts()
+        ctx.raw_delivered = reception.delivered_bits_by_ue()
 
-        decoded = blocked = collided = faded = utilized = 0
-        raw_delivered: Dict[int, float] = {}
-        for rb_reception in reception.rb_receptions.values():
-            rb_decoded = False
-            for outcome in rb_reception.outcomes.values():
-                if outcome is GrantOutcome.DECODED:
-                    decoded += 1
-                    rb_decoded = True
-                elif outcome is GrantOutcome.BLOCKED:
-                    blocked += 1
-                elif outcome is GrantOutcome.COLLIDED:
-                    collided += 1
-                else:
-                    faded += 1
-            if rb_decoded:
-                utilized += 1
-            for ue, bits in rb_reception.delivered_bits.items():
-                raw_delivered[ue] = raw_delivered.get(ue, 0.0) + bits
-        ctx.raw_delivered = raw_delivered
-
-        result.grants_issued += schedule.total_grants
-        result.grants_decoded += decoded
-        result.grants_blocked += blocked
-        result.grants_collided += collided
-        result.grants_faded += faded
-        allocated = schedule.allocated_rbs()
-        result.rbs_allocated += len(allocated)
+        result = ctx.result
+        result.grants_issued += counts.issued
+        result.grants_decoded += counts.decoded
+        result.grants_blocked += counts.blocked
+        result.grants_collided += counts.collided
+        result.grants_faded += counts.faded
+        allocated = counts.allocated
+        utilized = counts.utilized
+        result.rbs_allocated += allocated
         result.rbs_utilized += utilized
         result.ul_subframes += 1
-        if allocated and utilized == len(allocated):
+        if allocated and utilized == allocated:
             result.fully_utilized_subframes += 1
         if sim.record_series and allocated:
-            result.utilization_series.append(utilized / len(allocated))
+            result.utilization_series.append(utilized / allocated)
 
 
 class HarqFeedbackStage(SubframeStage):
@@ -384,7 +376,7 @@ class HarqFeedbackStage(SubframeStage):
         raw_delivered = ctx.raw_delivered
         if sim._harq is not None:
             raw_delivered = sim._apply_harq(
-                ctx.schedule, ctx.reception, set(ctx.transmitting), raw_delivered
+                ctx.reception, set(ctx.transmitting), raw_delivered
             )
         # Bits are scaled by the allocation-unit width already (grant rates
         # carry rate_scale); delivered_bits uses the grant rate, capped by

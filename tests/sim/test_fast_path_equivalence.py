@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.scheduling.oracle import OracleScheduler
 from repro.core.scheduling.pf import ProportionalFairScheduler
+from repro.lte import phy
 from repro.lte.channel import UplinkChannel, UplinkChannelBank
 from repro.obs import PhaseTimer, Stopwatch
 from repro.sim.config import SimulationConfig
@@ -112,6 +113,35 @@ class TestFastPathEquivalence:
             matrix = bank.step()
             for ue, channel in enumerate(channels):
                 assert np.array_equal(matrix[ue], channel.step())
+
+
+class TestReferenceIndependence:
+    """The oracle must decode through the per-RB receiver, not through
+    the engine's array decode it is meant to check."""
+
+    def test_reference_decodes_through_receive_rb(self, monkeypatch):
+        calls = []
+        original = phy.receive_rb
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(phy, "receive_rb", counting)
+        topology = skewed_topology(8, 4, seed=3)
+        snrs = uniform_snrs(topology.num_ues, seed=9)
+        config = SimulationConfig(
+            num_subframes=300, num_rbs=6, num_antennas=2, harq_enabled=True
+        )
+        engine = CellSimulation(
+            topology, snrs, ProportionalFairScheduler(), config, seed=4
+        ).run()
+        assert not calls, "the engine decoded through the per-RB receiver"
+        reference = ReferenceCellSimulation(
+            topology, snrs, ProportionalFairScheduler(), config, seed=4
+        ).run()
+        assert len(calls) >= reference.ul_subframes
+        assert engine == reference
 
 
 class TestParallelRunner:

@@ -140,3 +140,27 @@ class TestSingleEnginePath:
             check=True,
         )
         assert completed.stdout.strip() == "[]"
+
+
+class TestArrayReception:
+    """Reception is decided on arrays; per-RB objects are an API view."""
+
+    def test_only_the_lazy_view_builds_rb_receptions(self):
+        src = Path(repro.__file__).resolve().parent
+        users = sorted(
+            str(path.relative_to(src))
+            for path in src.rglob("*.py")
+            if "rb_receptions" in path.read_text()
+        )
+        assert users == ["lte/enb.py"]
+
+    def test_receive_subframe_wraps_the_array_decode(self):
+        from repro.lte.enb import ENodeB, SubframeReception
+
+        assert inspect.signature(ENodeB.receive_subframe).return_annotation in (
+            SubframeReception,
+            "SubframeReception",
+        )
+        assert isinstance(
+            inspect.getattr_static(SubframeReception, "rb_receptions"), property
+        )
