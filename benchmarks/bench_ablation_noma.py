@@ -9,11 +9,11 @@ receiver and the SIC receiver.
 """
 
 from repro import (
+    CellSimulation,
     ProportionalFairScheduler,
     SimulationConfig,
     SpeculativeScheduler,
     TopologyJointProvider,
-    run_comparison,
 )
 from repro.analysis import format_table
 from repro.topology.graph import InterferenceTopology
@@ -31,23 +31,22 @@ def run_experiment():
     )
     snrs = {u: (34.0 if u % 2 == 0 else 12.0) for u in range(NUM_UES)}
     provider = TopologyJointProvider(topology)
+    factories = {
+        "pf": ProportionalFairScheduler,
+        "blu": lambda: SpeculativeScheduler(provider),
+    }
 
     results = {}
     for receiver in ("linear", "sic"):
         config = SimulationConfig(
             num_subframes=3000, num_rbs=8, receiver=receiver
         )
-        comparison = run_comparison(
-            topology,
-            snrs,
-            {
-                "pf": ProportionalFairScheduler,
-                "blu": lambda: SpeculativeScheduler(provider),
-            },
-            config,
-            seed=MASTER_SEED,
-        )
-        results[receiver] = comparison
+        results[receiver] = {
+            name: CellSimulation(
+                topology, snrs, make(), config, seed=MASTER_SEED
+            ).run()
+            for name, make in factories.items()
+        }
     return results
 
 

@@ -18,12 +18,12 @@ from repro import (
     AccessAwareScheduler,
     BLUConfig,
     BLUController,
+    CellSimulation,
     InferenceConfig,
     ProportionalFairScheduler,
     SimulationConfig,
     SpeculativeScheduler,
     TopologyJointProvider,
-    run_comparison,
     testbed_topology,
     uniform_snrs,
 )
@@ -143,20 +143,17 @@ def run_cell(
     num_antennas: int = 1,
     seed: int = MASTER_SEED,
     max_distinct_ues: int = 10,
-    activity_model_factory=None,
 ) -> Dict[str, SimulationResult]:
-    return run_comparison(
-        topology,
-        snrs,
-        factories,
-        SimulationConfig(
-            num_subframes=num_subframes,
-            num_antennas=num_antennas,
-            max_distinct_ues=max_distinct_ues,
-        ),
-        seed=seed,
-        activity_model_factory=activity_model_factory,
+    """Run every factory's scheduler on one seeded cell, serially."""
+    config = SimulationConfig(
+        num_subframes=num_subframes,
+        num_antennas=num_antennas,
+        max_distinct_ues=max_distinct_ues,
     )
+    return {
+        name: CellSimulation(topology, snrs, make(), config, seed=seed).run()
+        for name, make in factories.items()
+    }
 
 
 def emit(capsys, text: str) -> None:

@@ -13,7 +13,7 @@ Layers:
   access estimation, blueprint inference (Section 3.4), higher-order joint
   distributions (Section 3.6), the scheduler family (PF / access-aware /
   speculative / oracle), and the two-phase controller (Fig. 9).
-* ``repro.sim`` — the cell-level simulation engine and experiment runners.
+* ``repro.sim`` — the cell-level simulation engine and its result types.
 * ``repro.traces`` — trace recording, combination, and persistence.
 * ``repro.analysis`` — CDFs and result tables.
 
@@ -39,8 +39,9 @@ Quickstart::
     ))
     print({k: v.aggregate_throughput_mbps for k, v in results.items()})
 
-The callable-based runners (``run_comparison`` et al.) remain for live
-objects a spec cannot serialize.
+For live objects a spec cannot serialize (a hand-built scheduler, a joint
+activity model), run one engine directly: ``plan.simulation(name,
+scheduler=...)`` on a built plan, or :class:`~repro.sim.CellSimulation`.
 """
 
 from repro.core.blueprint import (
@@ -134,7 +135,6 @@ from repro.sim import (
     SimulationConfig,
     SimulationResult,
     gain_over,
-    run_comparison,
 )
 from repro.spectrum import ChannelPlan
 from repro.topology import (
@@ -239,7 +239,6 @@ __all__ = [
     "minimum_subframes",
     "resume_checkpoint",
     "run_chaos",
-    "run_comparison",
     "run_experiment",
     "run_experiment_grid",
     "run_experiment_replications",

@@ -8,9 +8,11 @@ only in how a candidate group is valued and how large it may grow.
 
 Two builders implement the skeleton:
 
-* :func:`build_schedule` — the scalar reference: per-candidate utility
-  callables, per-grant rate lookups.  Kept as the legacy flavour the
-  bit-exactness regressions compare against.
+* :func:`build_schedule` (over :func:`greedy_group`) — the scalar
+  reference: per-candidate utility callables, per-grant rate lookups.
+  Schedulers take it on non-vectorized contexts (the reference engine in
+  ``tests/reference/``, the downlink scheduler), and the property suites
+  compare the vectorized builder against it.
 * :func:`build_schedule_fast` — the vectorized flavour: utilities come
   from per-burst weight columns (plain sums for PF-family schedulers, dot
   products of cached service-probability vectors and weight columns for
@@ -44,8 +46,6 @@ __all__ = [
     "UplinkScheduler",
     "StepScorer",
     "greedy_group",
-    "greedy_group_linear",
-    "greedy_group_scored",
     "build_schedule",
     "build_schedule_fast",
 ]
@@ -67,14 +67,14 @@ class UplinkScheduler(abc.ABC):
 class StepScorer(abc.ABC):
     """Values every candidate extension of the current group in one call.
 
-    The contract behind :func:`greedy_group_scored`: the greedy loop owns
-    selection (the ``1e-15`` chain scan), the scorer owns valuation.  A
-    scorer is stateful along one RB's greedy path — ``start_rb`` resets it,
-    ``step_values`` prices ``group + [c]`` for every remaining candidate
-    ``c`` (reusing whatever incremental state the committed group has
-    built), and ``commit`` extends that state when the loop accepts a
-    candidate.  Every returned value must be bit-identical to the
-    scheduler's scalar group-utility for the same candidate group.
+    The contract behind :func:`build_schedule_fast`'s non-linear path: the
+    greedy loop owns selection (the ``1e-15`` chain scan), the scorer owns
+    valuation.  A scorer is stateful along one RB's greedy path —
+    ``start_rb`` resets it, ``step_values`` prices ``group + [c]`` for
+    every remaining candidate ``c`` (reusing whatever incremental state the
+    committed group has built), and ``commit`` extends that state when the
+    loop accepts a candidate.  Every returned value must be bit-identical
+    to the scheduler's scalar group-utility for the same candidate group.
     """
 
     @abc.abstractmethod
@@ -138,113 +138,11 @@ def greedy_group(
     return _greedy_group(candidates, utility, max_size)[0]
 
 
-def _greedy_group_linear(
-    candidates: Sequence[int],
-    weights_for_size: Callable[[int], Sequence[float]],
-    max_size: int,
-) -> Tuple[List[int], float]:
-    """Linear-utility greedy growth returning ``(group, utility)``."""
-    if max_size < 1:
-        raise SchedulingError(f"max_size must be positive: {max_size}")
-    group: List[int] = []
-    current = 0.0
-    remaining = sorted(set(candidates))
-    while remaining and len(group) < max_size:
-        weights = weights_for_size(len(group) + 1)
-        base = 0.0
-        for member in group:
-            base += weights[member]
-        best_ue: Optional[int] = None
-        best_value = current
-        for ue in remaining:
-            value = base + weights[ue]
-            if value > best_value + 1e-15:
-                best_ue = ue
-                best_value = value
-        if best_ue is None:
-            break
-        group.append(best_ue)
-        remaining.remove(best_ue)
-        current = best_value
-    return group, current
-
-
-def greedy_group_linear(
-    candidates: Sequence[int],
-    weights_for_size: Callable[[int], Sequence[float]],
-    max_size: int,
-) -> List[int]:
-    """:func:`greedy_group` for utilities that are sums of per-client weights.
-
-    When a candidate group's utility is ``sum(w[ue] for ue in group)`` with
-    weights that depend only on the group *size* (e.g. PF under the
-    size-dependent MU-MIMO stream penalty), each greedy step only needs the
-    weight vector for the next size — no per-candidate closure calls.  The
-    selection rule (strict ``1e-15`` improvement, sequential scan in
-    ascending id order, left-to-right summation) is replicated exactly, so
-    the result is identical to :func:`greedy_group` with the equivalent
-    group-utility callable.
-
-    ``weights_for_size(size)`` returns a per-client weight sequence indexed
-    by UE id, valid for groups of exactly ``size`` members.
-    """
-    return _greedy_group_linear(candidates, weights_for_size, max_size)[0]
-
-
-def _greedy_group_scored(
-    candidates: Sequence[int],
-    scorer: StepScorer,
-    rb: int,
-    max_size: int,
-) -> Tuple[List[int], float]:
-    """Scorer-driven greedy growth returning ``(group, utility)``."""
-    if max_size < 1:
-        raise SchedulingError(f"max_size must be positive: {max_size}")
-    group: List[int] = []
-    current = 0.0
-    remaining = sorted(set(candidates))
-    scorer.start_rb(rb)
-    while remaining and len(group) < max_size:
-        values = scorer.step_values(rb, group, remaining)
-        best_index = -1
-        best_value = current
-        for index, value in enumerate(values):
-            if value > best_value + 1e-15:
-                best_index = index
-                best_value = value
-        if best_index < 0:
-            break
-        ue = remaining.pop(best_index)
-        group.append(ue)
-        scorer.commit(ue)
-        current = best_value
-    return group, current
-
-
-def greedy_group_scored(
-    candidates: Sequence[int],
-    scorer: StepScorer,
-    rb: int,
-    max_size: int,
-) -> List[int]:
-    """:func:`greedy_group` driven by a :class:`StepScorer`.
-
-    Extends :func:`greedy_group_linear`'s contract to utilities that are
-    *not* plain per-client sums — e.g. the speculative scheduler's dot
-    products of cached service-probability vectors and PF weight columns.
-    One ``step_values`` call prices every candidate of a greedy step;
-    selection (order, ties, the ``1e-15`` rule) is identical to
-    :func:`greedy_group` over the scorer's scalar-equivalent utility.
-    """
-    return _greedy_group_scored(candidates, scorer, rb, max_size)[0]
-
-
 def build_schedule(
     context: SchedulingContext,
     rb_utility: Callable[[int, Sequence[int]], float],
     max_group_size: int,
     grant_streams: Callable[[int], int],
-    rb_weights: Optional[Callable[[int, int], Sequence[float]]] = None,
     rb_utilities: Optional[Dict[int, float]] = None,
 ) -> SubframeSchedule:
     """Shared RB-walking skeleton (the scalar reference flavour).
@@ -257,10 +155,6 @@ def build_schedule(
             schedulers, ``~2M`` for the speculative one).
         grant_streams: group size -> stream count the grant's MCS assumes
             (``min(size, M)``: the largest decodable concurrency).
-        rb_weights: optional ``(rb, size) -> per-UE-id weight sequence``
-            for schedulers whose group utility is a plain sum of per-client
-            weights; enables the :func:`greedy_group_linear` fast path
-            (identical selections, no per-candidate callable dispatch).
         rb_utilities: optional dict the builder fills with the utility of
             each allocated RB's *admitted* group — the value the greedy
             loop already computed (recomputed only when the K-budget
@@ -275,18 +169,11 @@ def build_schedule(
             candidates: Sequence[int] = sorted(distinct)
         else:
             candidates = context.ue_ids
-        if rb_weights is not None:
-            group, current = _greedy_group_linear(
-                candidates,
-                lambda size, rb=rb: rb_weights(rb, size),
-                size_cap,
-            )
-        else:
-            group, current = _greedy_group(
-                candidates,
-                lambda g, rb=rb: rb_utility(rb, g),
-                size_cap,
-            )
+        group, current = _greedy_group(
+            candidates,
+            lambda g, rb=rb: rb_utility(rb, g),
+            size_cap,
+        )
         # The K-budget must hold for the union across RBs: admit the greedy
         # order's prefix of newcomers that still fits the budget.
         allowed_new = context.max_distinct_ues - len(distinct)

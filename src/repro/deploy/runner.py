@@ -41,6 +41,7 @@ from repro.resilience.inject import FaultInjector
 from repro.resilience.supervisor import (
     FailedItem,
     SupervisorConfig,
+    resolve_n_jobs,
     supervised_map,
 )
 from repro.sim.engine import CellSimulation
@@ -224,7 +225,7 @@ def run_campaign(
 ) -> CampaignResult:
     """Run a deployment campaign, sharded by interference cluster.
 
-    ``n_jobs`` fans cluster work items over a process pool (``None`` =
+    ``n_jobs`` fans cluster work items over a process pool (``-1`` =
     all cores); results are bit-identical for any value.
     ``checkpoint_dir`` persists one atomic file per completed cluster
     plus a manifest, so a killed campaign resumes via
@@ -236,6 +237,7 @@ def run_campaign(
     directory's ``telemetry.jsonl`` (see :mod:`repro.obs.telemetry`) for
     ``repro monitor`` — heartbeats, retries, per-cluster completions.
     """
+    resolve_n_jobs(n_jobs)
     deployment = build_deployment(spec)
     verify_partition(
         deployment.coupling_db, spec.coupling_margin_db, deployment.clusters

@@ -7,8 +7,9 @@ The one-stop shape for "an experiment" across the repo:
 * Registries — string kinds for scenarios, SNR draws, timelines, and
   schedulers; extensible via ``register_*`` decorators.
 * :func:`build_experiment` / :func:`run_experiment` — resolve a spec into
-  an :class:`ExperimentPlan` and run the matched-seed comparison, with
-  spec-level parallelism (``n_jobs``) that never hits a pickle fallback.
+  an :class:`ExperimentPlan` and run the matched-seed comparison; with
+  the grid, sweep and replication runners, the one way to run experiments
+  (``n_jobs`` fans plain spec-dict work items over worker processes).
 """
 
 from repro.experiments.build import (

@@ -4,9 +4,9 @@
 :class:`ExperimentPlan` — the concrete topology, SNR map, timeline, and
 per-name scheduler builders — and the plan runs the matched-conditions
 comparison.  Parallel execution ships the *spec dict* to each worker
-(always picklable, unlike closure-based scheduler factories) and rebuilds
-the plan there, so ``n_jobs`` never degrades to the serial fallback and
-results stay identical to ``n_jobs=1``.
+(plain data, always picklable) and rebuilds the plan there through
+:func:`~repro.resilience.supervised_map`, so results stay identical to
+``n_jobs=1``.  Every entry point validates ``n_jobs`` up front.
 
 Serial runs additionally capture the live scheduler instances on the
 plan (``plan.schedulers``) so callers can inspect controller state after
@@ -36,11 +36,11 @@ from repro.resilience.inject import FaultInjector
 from repro.resilience.supervisor import (
     FailedItem,
     SupervisorConfig,
+    resolve_n_jobs,
     supervised_map,
 )
 from repro.sim.engine import CellSimulation
-from repro.sim.results import SimulationResult
-from repro.sim.runner import ReplicatedMetric, SweepPoint, map_jobs
+from repro.sim.results import ReplicatedMetric, SimulationResult, SweepPoint
 from repro.topology.graph import InterferenceTopology
 from repro.topology.multichannel import MultiChannelTopology
 
@@ -161,7 +161,7 @@ class ExperimentPlan:
             ).run()
         # Observability on: a fresh per-run session provides the hooks and
         # the active registry; its snapshot (and trace) ride on the result,
-        # so worker processes ship telemetry back through map_jobs.
+        # so worker processes ship telemetry back with their results.
         from repro.obs.session import ObsSession
         from repro.sim.stages import CompositeHooks
 
@@ -190,10 +190,13 @@ class ExperimentPlan:
 
     def run(self, n_jobs: Optional[int] = 1) -> Dict[str, SimulationResult]:
         """Run every scheduler under identical seeded conditions."""
+        jobs = resolve_n_jobs(n_jobs)
         names = list(self.spec.scheduler_names)
-        if n_jobs is not None and n_jobs != 1 and len(names) > 1:
+        if jobs > 1 and len(names) > 1:
             items = [(self.spec.to_dict(), name, None) for name in names]
-            results = map_jobs(_run_spec_item, items, n_jobs)
+            results = supervised_map(
+                _run_spec_item, items, n_jobs=jobs, fail_fast=True
+            ).results
             return dict(zip(names, results))
         return {name: self.run_one(name) for name in names}
 
@@ -277,12 +280,6 @@ def _execute_cells(
     :class:`~repro.obs.telemetry.TelemetryLog` (labels aligned with
     ``pending``).
     """
-    if (store is None and supervisor is None and worker_fault is None
-            and telemetry is None):
-        for pos, result in enumerate(map_jobs(_run_spec_item, items, n_jobs)):
-            results[pending[pos]] = result
-        return
-
     on_result = None
     if store is not None:
         def on_result(pos: int, result) -> None:
@@ -340,6 +337,7 @@ def run_experiment_grid(
     """
     if not seeds:
         raise SpecError("need at least one seed")
+    resolve_n_jobs(n_jobs)
     names = list(spec.scheduler_names)
     spec_dict = spec.to_dict()
     labelled = [(name, seed) for seed in seeds for name in names]
@@ -471,6 +469,7 @@ def run_experiment_sweep(
     """
     if not specs:
         raise SpecError("sweep needs at least one spec")
+    resolve_n_jobs(n_jobs)
     if parameters is None:
         parameters = [spec.name for spec in specs]
     if len(parameters) != len(specs):

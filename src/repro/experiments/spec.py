@@ -290,7 +290,7 @@ class ExperimentSpec:
     ``schedulers`` maps display names (the keys of the result dict) to
     :class:`SchedulerSpec` registry references.  ``seed`` drives every
     source of randomness in a run; all schedulers face the identical
-    seeded world (the matched-conditions contract of ``sim.runner``).
+    seeded world (the matched-conditions contract).
     """
 
     name: str

@@ -17,8 +17,9 @@ engine's bit-exactness contract demands:
   on a re-run.
 
 Snapshots are plain-data (JSON-ready, picklable) so worker processes can
-ship them back through ``map_jobs``; :func:`merge_snapshots` combines them
-(counters and histograms sum, gauges take the last write).
+ship them back through :func:`~repro.resilience.supervised_map`;
+:func:`merge_snapshots` combines them (counters and histograms sum, gauges
+take the last write).
 """
 
 from __future__ import annotations

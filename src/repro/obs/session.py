@@ -116,7 +116,7 @@ class ObsSession:
         All fields are ``compare=False`` on
         :class:`~repro.sim.results.SimulationResult`, so telemetry never
         perturbs bit-exactness comparisons — and all are plain data, so
-        results round-trip through ``map_jobs`` worker pickling.
+        results round-trip through worker-process pickling.
         """
         result.obs_snapshot = self.snapshot().to_dict()
         if self.tracer is not None:

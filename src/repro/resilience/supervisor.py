@@ -1,14 +1,14 @@
 """Supervised execution of independent work items.
 
-:func:`supervised_map` is the resilient core under
-:func:`repro.sim.runner.map_jobs`: it maps a function over self-contained
-work items — serially or over a ``ProcessPoolExecutor`` — while giving
-each item a configurable per-attempt timeout and bounded retries with
-exponential backoff + deterministic jitter.  Items that keep failing are
-*quarantined* into structured :class:`FailedItem` records instead of
-aborting the batch, so one poisoned cell cannot take down an overnight
-grid.  Retry/timeout/failure counts are emitted into the active obs
-registry (``resilience.*`` counters) when observability is on.
+:func:`supervised_map` is the one fan-out primitive behind every
+experiment, sweep, grid and deployment campaign: it maps a function over
+self-contained work items — serially or over a ``ProcessPoolExecutor`` —
+while giving each item a configurable per-attempt timeout and bounded
+retries with exponential backoff + deterministic jitter.  Items that keep
+failing are *quarantined* into structured :class:`FailedItem` records
+instead of aborting the batch, so one poisoned cell cannot take down an
+overnight grid.  Retry/timeout/failure counts are emitted into the active
+obs registry (``resilience.*`` counters) when observability is on.
 
 Semantics worth knowing:
 
@@ -24,10 +24,9 @@ Semantics worth knowing:
 * In serial mode (``n_jobs=1``) there is no way to interrupt a running
   call, so ``timeout_s`` is not enforced; injected hangs simply delay
   the (identical) result.
-* With ``fail_fast=True`` (how :func:`~repro.sim.runner.map_jobs` runs
-  when no supervisor config is given) the first *permanent* failure
-  re-raises its original exception, preserving the historical strict
-  behaviour.
+* With ``fail_fast=True`` (how the experiment layer runs when no
+  supervisor config is given) the first *permanent* failure re-raises
+  its original exception.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ResilienceError, WorkerFailure
+from repro.errors import ConfigurationError, ResilienceError, WorkerFailure
 from repro.obs.metrics import active_registry
 from repro.obs.telemetry import TelemetryLog, use_telemetry
 
@@ -50,6 +49,7 @@ __all__ = [
     "SupervisorConfig",
     "FailedItem",
     "SupervisedOutcome",
+    "resolve_n_jobs",
     "supervised_map",
 ]
 
@@ -147,13 +147,18 @@ class SupervisedOutcome:
         return not self.failures
 
 
-def _resolve_jobs(n_jobs: Optional[int]) -> int:
+def resolve_n_jobs(n_jobs: Optional[int]) -> int:
+    """Worker count for an ``n_jobs`` argument.
+
+    ``None`` means serial, ``-1`` all cores; any other value below 1
+    raises :class:`~repro.errors.ConfigurationError`.
+    """
     if n_jobs is None:
         return 1
     if n_jobs == -1:
         return os.cpu_count() or 1
     if n_jobs < 1:
-        raise ResilienceError(f"n_jobs must be >= 1 or -1: {n_jobs}")
+        raise ConfigurationError(f"n_jobs must be >= 1 or -1: {n_jobs}")
     return int(n_jobs)
 
 
@@ -315,7 +320,7 @@ def supervised_map(
         for i in range(len(items))
     ]
     counters = _Counters()
-    jobs = min(_resolve_jobs(n_jobs), len(items))
+    jobs = min(resolve_n_jobs(n_jobs), len(items))
     if jobs <= 1:
         _serial_loop(fn, items, config, worker_fault, on_result, fail_fast,
                      outcome, counters, telemetry, names)

@@ -1,17 +1,17 @@
-"""Cell-level simulation: engine, configuration, results, runners."""
+"""Cell-level simulation: engine, configuration, results.
+
+Experiments — matched-seed comparisons, sweeps, replications — run
+through :mod:`repro.experiments`; this package is the engine they drive.
+"""
 
 from repro.sim.config import SimulationConfig
 from repro.sim.downlink import DownlinkSimulation
 from repro.sim.engine import CellSimulation
-from repro.sim.results import SimulationResult
-from repro.sim.runner import (
+from repro.sim.results import (
     ReplicatedMetric,
+    SimulationResult,
     SweepPoint,
     gain_over,
-    map_jobs,
-    run_comparison,
-    run_replications,
-    run_sweep,
 )
 from repro.sim.stages import (
     CompositeHooks,
@@ -37,8 +37,4 @@ __all__ = [
     "SubframeStage",
     "SweepPoint",
     "gain_over",
-    "map_jobs",
-    "run_comparison",
-    "run_replications",
-    "run_sweep",
 ]

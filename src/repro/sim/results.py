@@ -1,16 +1,22 @@
-"""Simulation metrics: what every figure of the paper is computed from."""
+"""Simulation metrics: what every figure of the paper is computed from.
+
+:class:`SimulationResult` is one run's outcome; :class:`SweepPoint`,
+:class:`ReplicatedMetric` and :func:`gain_over` are the shapes the
+experiment layer (:mod:`repro.experiments`) reports comparisons, sweeps
+and seed replications in.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.core.scheduling.fairness import jain_fairness_index
 from repro.lte import consts
 
-__all__ = ["SimulationResult"]
+__all__ = ["ReplicatedMetric", "SimulationResult", "SweepPoint", "gain_over"]
 
 
 @dataclass
@@ -205,3 +211,37 @@ class SimulationResult:
             f"{self.aggregate_throughput_mbps:.2f} Mbps, "
             f"util={self.rb_utilization:.2f})"
         )
+
+
+@dataclass
+class SweepPoint:
+    """One point of a parameter sweep: its label and results by scheduler."""
+
+    parameter: object
+    results: Dict[str, SimulationResult]
+
+
+@dataclass
+class ReplicatedMetric:
+    """Mean and standard deviation of one metric across seeds."""
+
+    mean: float
+    std: float
+    samples: int
+
+    def __repr__(self) -> str:  # pragma: no cover - display aid
+        return f"{self.mean:.3f} ± {self.std:.3f} (n={self.samples})"
+
+
+def gain_over(
+    results: Mapping[str, SimulationResult],
+    candidate: str,
+    baseline: str,
+    metric: str = "throughput_mbps",
+) -> float:
+    """Ratio of a summary metric between two named results."""
+    base = results[baseline].summary()[metric]
+    cand = results[candidate].summary()[metric]
+    if base == 0.0:
+        return float("inf") if cand > 0 else 1.0
+    return cand / base

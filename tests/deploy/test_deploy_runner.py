@@ -6,7 +6,7 @@ import pytest
 
 from repro.deploy import DeploymentSpec, PlacementSpec, build_deployment, run_campaign
 from repro.deploy.runner import resume_campaign
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.experiments import resume_checkpoint
 from repro.experiments.spec import SchedulerSpec
 from repro.obs.config import ObsConfig
@@ -50,6 +50,11 @@ class TestShardedBitExactness:
                 sharded.cell_results[cell_id]
                 == serial_campaign.cell_results[cell_id]
             ), f"cell {cell_id} diverged under sharding"
+
+    @pytest.mark.parametrize("n_jobs", [0, -2])
+    def test_bad_n_jobs_rejected_before_running(self, n_jobs):
+        with pytest.raises(ConfigurationError, match="n_jobs"):
+            run_campaign(campaign_spec(), n_jobs=n_jobs)
 
     def test_fresh_scheduler_per_cell(self, serial_campaign):
         names = {

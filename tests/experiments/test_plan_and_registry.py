@@ -8,7 +8,7 @@ timeline-derived oracle stages, and the registered kind inventories.
 import pytest
 
 from repro.dynamics.adapt import AdaptiveBLUController
-from repro.errors import SpecError
+from repro.errors import ConfigurationError, SpecError
 from repro.experiments import (
     BuildContext,
     ExperimentSpec,
@@ -19,6 +19,8 @@ from repro.experiments import (
     build_scheduler,
     build_snrs,
     build_topology,
+    resume_checkpoint,
+    run_experiment_grid,
     run_experiment_replications,
     run_experiment_sweep,
     scenario_kinds,
@@ -143,8 +145,7 @@ class TestExperimentPlan:
             )
 
     def test_parallel_run_emits_no_pickle_warning(self):
-        # Spec-dict work items always pickle — the lambda-factory fallback
-        # of the raw runner layer must never trigger here.
+        # Spec-dict work items always pickle, so a parallel run is silent.
         import warnings
 
         spec = spec_with(
@@ -167,6 +168,38 @@ class TestExperimentPlan:
         c = plan.simulation("pf", seed=2).run()
         assert a.delivered_bits_by_ue == b.delivered_bits_by_ue
         assert a.delivered_bits_by_ue != c.delivered_bits_by_ue
+
+
+class TestNJobsValidation:
+    """Every spec entry point rejects a bad ``n_jobs`` before running,
+    whatever the scheduler count or checkpoint state."""
+
+    @pytest.mark.parametrize("n_jobs", [0, -2])
+    def test_one_scheduler_plan_rejects(self, n_jobs):
+        plan = build_experiment(spec_with({"pf": SchedulerSpec("pf")}))
+        with pytest.raises(ConfigurationError, match="n_jobs"):
+            plan.run(n_jobs=n_jobs)
+        assert not plan.schedulers
+
+    @pytest.mark.parametrize("n_jobs", [0, -2])
+    def test_batch_entry_points_reject(self, n_jobs):
+        spec = spec_with({"pf": SchedulerSpec("pf")})
+        calls = [
+            lambda: run_experiment_grid(spec, [0], n_jobs=n_jobs),
+            lambda: run_experiment_replications(spec, (0,), n_jobs=n_jobs),
+            lambda: run_experiment_sweep([spec], n_jobs=n_jobs),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="n_jobs"):
+                call()
+
+    def test_fully_checkpointed_grid_rejects(self, tmp_path):
+        spec = spec_with({"pf": SchedulerSpec("pf")}, subframes=60)
+        run_experiment_grid(spec, [0], checkpoint_dir=tmp_path)
+        with pytest.raises(ConfigurationError, match="n_jobs"):
+            run_experiment_grid(spec, [0], n_jobs=0, checkpoint_dir=tmp_path)
+        with pytest.raises(ConfigurationError, match="n_jobs"):
+            resume_checkpoint(tmp_path, n_jobs=0)
 
 
 class TestTimelineStages:

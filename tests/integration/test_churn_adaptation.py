@@ -13,11 +13,11 @@ import pytest
 from repro import (
     AdaptiveBLUController,
     BLUConfig,
+    CellSimulation,
     FullRestartController,
     InferenceConfig,
     SimulationConfig,
     hidden_node_churn_timeline,
-    run_comparison,
     uniform_snrs,
 )
 from repro import testbed_topology as build_testbed
@@ -47,20 +47,20 @@ def churn_run():
         controllers["adaptive"] = controller
         return controller
 
-    results = run_comparison(
-        topology,
-        snrs,
-        {
-            "adaptive": adaptive_factory,
-            "restart": lambda: FullRestartController(
-                NUM_UES, blu_config, restart_at=ARRIVE_AT
-            ),
-        },
-        SimulationConfig(num_subframes=SUBFRAMES),
-        seed=0,
-        record_series=True,
-        timeline=timeline,
-    )
+    factories = {
+        "adaptive": adaptive_factory,
+        "restart": lambda: FullRestartController(
+            NUM_UES, blu_config, restart_at=ARRIVE_AT
+        ),
+    }
+    config = SimulationConfig(num_subframes=SUBFRAMES)
+    results = {
+        name: CellSimulation(
+            topology, snrs, make(), config,
+            seed=0, record_series=True, timeline=timeline,
+        ).run()
+        for name, make in factories.items()
+    }
     return results, controllers["adaptive"].metrics
 
 

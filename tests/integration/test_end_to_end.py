@@ -13,7 +13,7 @@ from repro.core.scheduling import (
     SingleUserScheduler,
     SpeculativeScheduler,
 )
-from repro.sim import CellSimulation, SimulationConfig, run_comparison
+from repro.sim import CellSimulation, SimulationConfig
 from repro.topology.graph import InterferenceTopology, edge_set_accuracy
 from repro.topology.scenarios import contention_pairs, uniform_snrs
 from repro.topology.scenarios import testbed_topology as make_testbed_topology
@@ -32,20 +32,18 @@ def comparison(cell):
     topology, snrs = cell
     provider = TopologyJointProvider(topology)
     config = SimulationConfig(num_subframes=2500, num_antennas=1)
-    return run_comparison(
-        topology,
-        snrs,
-        {
-            "pf": ProportionalFairScheduler,
-            "aa": lambda: AccessAwareScheduler(provider),
-            "blu-perfect": lambda: SpeculativeScheduler(provider),
-            "blu": lambda: BLUController(8, BLUConfig(samples_per_pair=40, inference=InferenceConfig(seed=0))),
-            "single": SingleUserScheduler,
-            "oracle": OracleScheduler,
-        },
-        config,
-        seed=11,
-    )
+    factories = {
+        "pf": ProportionalFairScheduler,
+        "aa": lambda: AccessAwareScheduler(provider),
+        "blu-perfect": lambda: SpeculativeScheduler(provider),
+        "blu": lambda: BLUController(8, BLUConfig(samples_per_pair=40, inference=InferenceConfig(seed=0))),
+        "single": SingleUserScheduler,
+        "oracle": OracleScheduler,
+    }
+    return {
+        name: CellSimulation(topology, snrs, make(), config, seed=11).run()
+        for name, make in factories.items()
+    }
 
 
 class TestFullPipeline:
@@ -130,16 +128,14 @@ class TestMuMimoIntegration:
         topology, snrs = cell
         provider = TopologyJointProvider(topology)
         config = SimulationConfig(num_subframes=1500, num_antennas=2)
-        results = run_comparison(
-            topology,
-            snrs,
-            {
-                "pf": ProportionalFairScheduler,
-                "blu": lambda: SpeculativeScheduler(provider),
-            },
-            config,
-            seed=4,
-        )
+        factories = {
+            "pf": ProportionalFairScheduler,
+            "blu": lambda: SpeculativeScheduler(provider),
+        }
+        results = {
+            name: CellSimulation(topology, snrs, make(), config, seed=4).run()
+            for name, make in factories.items()
+        }
         assert (
             results["blu"].aggregate_throughput_mbps
             > results["pf"].aggregate_throughput_mbps
@@ -190,17 +186,17 @@ class TestContentionCoupledIntegration:
                     clear[t, ue] = False
         provider = EmpiricalJointProvider(clear)
 
-        results = run_comparison(
-            topology,
-            snrs,
-            {
-                "pf": ProportionalFairScheduler,
-                "blu": lambda: SpeculativeScheduler(provider),
-            },
-            config,
-            seed=6,
-            activity_model_factory=factory,
-        )
+        factories = {
+            "pf": ProportionalFairScheduler,
+            "blu": lambda: SpeculativeScheduler(provider),
+        }
+        results = {
+            name: CellSimulation(
+                topology, snrs, make(), config,
+                activity_model=factory(np.random.default_rng(6)), seed=6,
+            ).run()
+            for name, make in factories.items()
+        }
         gain = (
             results["blu"].aggregate_throughput_mbps
             / results["pf"].aggregate_throughput_mbps

@@ -16,7 +16,7 @@ from repro.core.measurement.pair_scheduler import (
     tuple_measurement_subframes,
 )
 from repro.core.scheduling import ProportionalFairScheduler, SpeculativeScheduler
-from repro.sim import CellSimulation, SimulationConfig, run_comparison
+from repro.sim import CellSimulation, SimulationConfig
 from repro.spectrum.cca import LTE_ENERGY_SENSING, WIFI_PREAMBLE_SENSING
 from repro.topology.generator import ScenarioConfig, generate_scenario
 from repro.topology.graph import edge_set_accuracy
@@ -112,17 +112,17 @@ class TestFig15to18Shape:
         provider = TopologyJointProvider(topology)
         from repro.core.scheduling import AccessAwareScheduler
 
-        return run_comparison(
-            topology,
-            uniform_snrs(10, seed=3),
-            {
-                "pf": ProportionalFairScheduler,
-                "aa": lambda: AccessAwareScheduler(provider),
-                "blu": lambda: SpeculativeScheduler(provider),
-            },
-            SimulationConfig(num_subframes=2500, num_rbs=10),
-            seed=9,
-        )
+        snrs = uniform_snrs(10, seed=3)
+        config = SimulationConfig(num_subframes=2500, num_rbs=10)
+        factories = {
+            "pf": ProportionalFairScheduler,
+            "aa": lambda: AccessAwareScheduler(provider),
+            "blu": lambda: SpeculativeScheduler(provider),
+        }
+        return {
+            name: CellSimulation(topology, snrs, make(), config, seed=9).run()
+            for name, make in factories.items()
+        }
 
     def test_blu_throughput_gain(self, results):
         gain = (
@@ -156,18 +156,19 @@ class TestFig17Shape:
         )
         snrs = uniform_snrs(10, seed=3)
         provider = TopologyJointProvider(topology)
+        factories = {
+            "pf": ProportionalFairScheduler,
+            "blu": lambda: SpeculativeScheduler(provider),
+        }
         gains = {}
         for antennas in (1, 2):
-            results = run_comparison(
-                topology,
-                snrs,
-                {
-                    "pf": ProportionalFairScheduler,
-                    "blu": lambda: SpeculativeScheduler(provider),
-                },
-                SimulationConfig(num_subframes=1500, num_antennas=antennas),
-                seed=9,
-            )
+            config = SimulationConfig(num_subframes=1500, num_antennas=antennas)
+            results = {
+                name: CellSimulation(
+                    topology, snrs, make(), config, seed=9
+                ).run()
+                for name, make in factories.items()
+            }
             gains[antennas] = (
                 results["blu"].aggregate_throughput_mbps
                 / results["pf"].aggregate_throughput_mbps

@@ -10,13 +10,13 @@ import pytest
 
 from repro import (
     BlueprintInference,
+    CellSimulation,
     EmpiricalJointProvider,
     InferenceConfig,
     ProportionalFairScheduler,
     SimulationConfig,
     SpeculativeScheduler,
     edge_set_accuracy,
-    run_comparison,
 )
 from repro.core.measurement.estimator import AccessEstimator
 from repro.topology.scenarios import testbed_topology as make_testbed_topology
@@ -71,16 +71,17 @@ class TestEmulatedScheduling:
     def test_blu_wins_on_emulated_cell(self, emulated_24ue):
         trace = emulated_24ue
         provider = EmpiricalJointProvider(trace.clear_matrix())
-        results = run_comparison(
-            trace.topology,
-            trace.mean_snr_db,
-            {
-                "pf": ProportionalFairScheduler,
-                "blu": lambda: SpeculativeScheduler(provider),
-            },
-            SimulationConfig(num_subframes=2000, max_distinct_ues=10),
-            seed=4,
-        )
+        config = SimulationConfig(num_subframes=2000, max_distinct_ues=10)
+        factories = {
+            "pf": ProportionalFairScheduler,
+            "blu": lambda: SpeculativeScheduler(provider),
+        }
+        results = {
+            name: CellSimulation(
+                trace.topology, trace.mean_snr_db, make(), config, seed=4
+            ).run()
+            for name, make in factories.items()
+        }
         assert (
             results["blu"].aggregate_throughput_mbps
             > 1.2 * results["pf"].aggregate_throughput_mbps

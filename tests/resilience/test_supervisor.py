@@ -1,12 +1,14 @@
 """Supervised execution: retries, timeouts, quarantine, fail-fast."""
 
+import os
 import time
 
 import pytest
 
-from repro.errors import ResilienceError, WorkerFailure
+from repro.errors import ConfigurationError, ResilienceError, WorkerFailure
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.resilience import FailedItem, SupervisorConfig, supervised_map
+from repro.resilience.supervisor import resolve_n_jobs
 
 
 def double(x):
@@ -36,8 +38,25 @@ class TestConfigValidation:
             SupervisorConfig(**kwargs)
 
     def test_n_jobs_validation(self):
-        with pytest.raises(ResilienceError):
+        with pytest.raises(ConfigurationError):
             supervised_map(double, [1], n_jobs=0)
+
+
+class TestResolveNJobs:
+    def test_none_means_serial(self):
+        assert resolve_n_jobs(None) == 1
+
+    def test_minus_one_means_all_cores(self):
+        assert resolve_n_jobs(-1) == (os.cpu_count() or 1)
+
+    def test_explicit_counts_pass_through(self):
+        assert resolve_n_jobs(1) == 1
+        assert resolve_n_jobs(3) == 3
+
+    def test_zero_and_negative_rejected(self):
+        for bad in (0, -2):
+            with pytest.raises(ConfigurationError, match="n_jobs"):
+                resolve_n_jobs(bad)
 
 
 class TestSerial:

@@ -1,4 +1,4 @@
-"""Tests for the simulation engine and the comparison runner."""
+"""Tests for the simulation engine and spec-driven experiment runs."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,15 @@ import pytest
 from repro.core.scheduling.oracle import OracleScheduler
 from repro.core.scheduling.pf import ProportionalFairScheduler
 from repro.errors import ConfigurationError
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import CellSimulation
-from repro.sim.runner import gain_over, run_comparison, run_sweep
+from repro.experiments import (
+    ExperimentSpec,
+    ScenarioSpec,
+    SchedulerSpec,
+    run_experiment,
+    run_experiment_replications,
+    run_experiment_sweep,
+)
+from repro.sim import CellSimulation, SimulationConfig, SimulationResult, gain_over
 from repro.spectrum.activity import BernoulliActivity, ExclusiveGroupActivity
 from repro.topology.graph import InterferenceTopology
 from repro.topology.scenarios import uniform_snrs
@@ -136,74 +142,57 @@ class TestCellSimulation:
         assert a.grants_blocked == b.grants_blocked
 
 
+def cell_spec(hts_per_ue=1, num_subframes=300, schedulers=("pf",)):
+    """A 4-UE testbed cell at 25 dB, the spec-path twin of ``snrs(4)``."""
+    return ExperimentSpec(
+        name="runner",
+        scenario=ScenarioSpec(
+            kind="testbed",
+            params={"num_ues": 4, "hts_per_ue": hts_per_ue, "seed": 1},
+            snr={"kind": "fixed", "snr_db": 25.0},
+        ),
+        sim=SimulationConfig(num_subframes=num_subframes, num_rbs=4),
+        schedulers={name: SchedulerSpec(name) for name in schedulers},
+        seed=0,
+    )
+
+
 class TestRunner:
     def test_comparison_runs_all(self):
-        topology = make_testbed_topology(num_ues=4, hts_per_ue=1, seed=1)
-        results = run_comparison(
-            topology,
-            snrs(4),
-            {
-                "pf": ProportionalFairScheduler,
-                "oracle": OracleScheduler,
-            },
-            SimulationConfig(num_subframes=300, num_rbs=4),
-            seed=0,
-        )
+        results = run_experiment(cell_spec(schedulers=("pf", "oracle")))
         assert set(results) == {"pf", "oracle"}
 
     def test_empty_factories_rejected(self):
-        topology = make_testbed_topology(num_ues=4, hts_per_ue=1, seed=1)
-        with pytest.raises(ConfigurationError):
-            run_comparison(topology, snrs(4), {}, SimulationConfig(num_subframes=10))
+        with pytest.raises(ConfigurationError, match="scheduler"):
+            cell_spec(num_subframes=10).replace(schedulers={})
 
     def test_oracle_dominates_pf(self):
         topology = make_testbed_topology(num_ues=4, hts_per_ue=2, activity=0.4, seed=1)
-        results = run_comparison(
-            topology,
-            snrs(4),
-            {"pf": ProportionalFairScheduler, "oracle": OracleScheduler},
-            SimulationConfig(num_subframes=800, num_rbs=4),
-            seed=0,
-        )
+        config = SimulationConfig(num_subframes=800, num_rbs=4)
+        results = {
+            name: CellSimulation(topology, snrs(4), make(), config, seed=0).run()
+            for name, make in (
+                ("pf", ProportionalFairScheduler), ("oracle", OracleScheduler)
+            )
+        }
         assert gain_over(results, "oracle", "pf") > 1.0
 
     def test_gain_over_handles_zero_baseline(self):
         topology = InterferenceTopology.build(2, [])
-        results = run_comparison(
-            topology, snrs(2),
-            {"pf": ProportionalFairScheduler},
-            SimulationConfig(num_subframes=100, num_rbs=2), seed=0,
-        )
-        results["zero"] = type(results["pf"])(scheduler_name="zero")
+        results = {
+            "pf": CellSimulation(
+                topology, snrs(2), ProportionalFairScheduler(),
+                SimulationConfig(num_subframes=100, num_rbs=2), seed=0,
+            ).run(),
+            "zero": SimulationResult(scheduler_name="zero"),
+        }
         assert gain_over(results, "pf", "zero") == float("inf")
 
-    def test_activity_model_factory_used(self):
-        topology = InterferenceTopology.build(2, [(0.4, [0]), (0.4, [1])])
-        calls = []
-
-        def factory(rng):
-            calls.append(1)
-            return ExclusiveGroupActivity([0.4, 0.4], [[0, 1]], rng=rng)
-
-        run_comparison(
-            topology, snrs(2),
-            {"pf": ProportionalFairScheduler, "oracle": OracleScheduler},
-            SimulationConfig(num_subframes=100, num_rbs=2),
-            seed=0, activity_model_factory=factory,
-        )
-        assert len(calls) == 2
-
-    def test_run_sweep(self):
-        def build_case(hts):
-            topology = make_testbed_topology(num_ues=4, hts_per_ue=hts, seed=1)
-            return topology, snrs(4)
-
-        points = run_sweep(
-            [0, 1],
-            build_case,
-            lambda value, topology: {"pf": ProportionalFairScheduler},
-            lambda value: SimulationConfig(num_subframes=200, num_rbs=4),
-            seed=0,
+    def test_experiment_sweep(self):
+        points = run_experiment_sweep(
+            [cell_spec(hts_per_ue=0, num_subframes=200),
+             cell_spec(hts_per_ue=1, num_subframes=200)],
+            parameters=[0, 1],
         )
         assert [p.parameter for p in points] == [0, 1]
         assert all("pf" in p.results for p in points)
@@ -211,43 +200,20 @@ class TestRunner:
 
 class TestReplications:
     def test_replicated_metrics_shape(self):
-        from repro.sim.runner import run_replications
-
-        topology = make_testbed_topology(num_ues=4, hts_per_ue=1, seed=1)
-        report = run_replications(
-            topology,
-            snrs(4),
-            {"pf": ProportionalFairScheduler},
-            SimulationConfig(num_subframes=300, num_rbs=4),
-            seeds=(0, 1, 2),
-        )
+        report = run_experiment_replications(cell_spec(), seeds=(0, 1, 2))
         metric = report["pf"]["throughput_mbps"]
         assert metric.samples == 3
         assert metric.mean > 0
         assert metric.std >= 0
 
     def test_single_seed_zero_std(self):
-        from repro.sim.runner import run_replications
-
-        topology = make_testbed_topology(num_ues=4, hts_per_ue=1, seed=1)
-        report = run_replications(
-            topology,
-            snrs(4),
-            {"pf": ProportionalFairScheduler},
-            SimulationConfig(num_subframes=200, num_rbs=4),
-            seeds=(7,),
+        report = run_experiment_replications(
+            cell_spec(num_subframes=200), seeds=(7,)
         )
         assert report["pf"]["rb_utilization"].std == 0.0
 
     def test_empty_seeds_rejected(self):
-        from repro.sim.runner import run_replications
-
-        topology = make_testbed_topology(num_ues=4, hts_per_ue=1, seed=1)
         with pytest.raises(ConfigurationError):
-            run_replications(
-                topology,
-                snrs(4),
-                {"pf": ProportionalFairScheduler},
-                SimulationConfig(num_subframes=100),
-                seeds=(),
+            run_experiment_replications(
+                cell_spec(num_subframes=100), seeds=()
             )

@@ -4,23 +4,29 @@ bit-exact with the scalar/serial reference.
 The production engine and the scalar reference engine in
 ``tests/reference/`` consume RNG streams identically by construction;
 these tests pin that contract for SISO, MU-MIMO, both activity kinds, the
-SIC receiver, and a custom silencer.  The runner tests pin that
-``n_jobs > 1`` returns results identical to serial execution.
+SIC receiver, and a custom silencer.  The parallel tests pin that the spec
+entry points return results identical to serial execution for
+``n_jobs > 1``.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.scheduling.oracle import OracleScheduler
+from repro.experiments import (
+    ExperimentSpec,
+    ScenarioSpec,
+    SchedulerSpec,
+    run_experiment,
+    run_experiment_replications,
+    run_experiment_sweep,
+)
 from repro.core.scheduling.pf import ProportionalFairScheduler
 from repro.lte import phy
 from repro.lte.channel import UplinkChannel, UplinkChannelBank
 from repro.obs import PhaseTimer, Stopwatch
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import CellSimulation
-from repro.sim.runner import run_comparison, run_replications, run_sweep
 from repro.topology.scenarios import skewed_topology, uniform_snrs
 from repro.topology.scenarios import testbed_topology as make_testbed_topology
 from tests.reference import ReferenceCellSimulation
@@ -144,71 +150,48 @@ class TestReferenceIndependence:
         assert engine == reference
 
 
+def parallel_spec(
+    hts_per_ue=2, topology_seed=5, snr_seed=7, schedulers=("pf", "oracle")
+):
+    """A seeded 6-UE testbed spec for the serial-vs-parallel checks."""
+    return ExperimentSpec(
+        name="parallel",
+        scenario=ScenarioSpec(
+            kind="testbed",
+            params={
+                "num_ues": 6, "hts_per_ue": hts_per_ue, "seed": topology_seed
+            },
+            snr={"kind": "uniform", "seed": snr_seed},
+        ),
+        sim=SimulationConfig(num_subframes=300, num_rbs=8),
+        schedulers={name: SchedulerSpec(name) for name in schedulers},
+        seed=3,
+    )
+
+
 class TestParallelRunner:
-    def setup_method(self):
-        self.topology = make_testbed_topology(6, hts_per_ue=2, seed=5)
-        self.snrs = uniform_snrs(self.topology.num_ues, seed=7)
-        self.config = SimulationConfig(num_subframes=300, num_rbs=8)
-        # Classes (not lambdas) so the work items pickle into workers.
-        self.factories = {
-            "pf": ProportionalFairScheduler,
-            "oracle": OracleScheduler,
-        }
+    """``n_jobs > 1`` on every spec entry point equals the serial run."""
 
     def test_comparison_parallel_identical(self):
-        serial = run_comparison(
-            self.topology, self.snrs, self.factories, self.config, seed=3
-        )
-        parallel = run_comparison(
-            self.topology, self.snrs, self.factories, self.config, seed=3,
-            n_jobs=2,
-        )
-        assert serial == parallel
+        spec = parallel_spec()
+        assert run_experiment(spec) == run_experiment(spec, n_jobs=2)
 
     def test_replications_parallel_identical(self):
-        serial = run_replications(
-            self.topology, self.snrs, self.factories, self.config,
-            seeds=(0, 1, 2),
-        )
-        parallel = run_replications(
-            self.topology, self.snrs, self.factories, self.config,
-            seeds=(0, 1, 2), n_jobs=2,
-        )
+        spec = parallel_spec()
+        serial = run_experiment_replications(spec, seeds=(0, 1, 2))
+        parallel = run_experiment_replications(spec, seeds=(0, 1, 2), n_jobs=2)
         assert serial == parallel
 
     def test_sweep_parallel_identical(self):
-        def build_case(value):
-            topology = make_testbed_topology(4, hts_per_ue=value, seed=value)
-            return topology, uniform_snrs(4, seed=1)
-
-        def factories_for(value, topology):
-            return {"pf": ProportionalFairScheduler}
-
-        def config_for(value):
-            return self.config
-
-        serial = run_sweep([1, 2], build_case, factories_for, config_for, seed=5)
-        parallel = run_sweep(
-            [1, 2], build_case, factories_for, config_for, seed=5, n_jobs=2
-        )
+        specs = [
+            parallel_spec(hts_per_ue=value, topology_seed=value, snr_seed=1,
+                          schedulers=("pf",))
+            for value in (1, 2)
+        ]
+        serial = run_experiment_sweep(specs, parameters=[1, 2])
+        parallel = run_experiment_sweep(specs, parameters=[1, 2], n_jobs=2)
         assert [p.parameter for p in serial] == [p.parameter for p in parallel]
         assert [p.results for p in serial] == [p.results for p in parallel]
-
-    def test_unpicklable_factories_fall_back_serially(self):
-        lambdas = {
-            "a": lambda: ProportionalFairScheduler(),
-            "b": lambda: ProportionalFairScheduler(),
-        }
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            results = run_comparison(
-                self.topology, self.snrs, lambdas, self.config, seed=3, n_jobs=2
-            )
-        assert any("picklable" in str(w.message) for w in caught)
-        reference = run_comparison(
-            self.topology, self.snrs, lambdas, self.config, seed=3
-        )
-        assert results == reference
 
 
 class TestPerfInstrumentation:

@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,55 @@ class TestSingleEnginePath:
             check=True,
         )
         assert completed.stdout.strip() == "[]"
+
+
+class TestOneRunApi:
+    """Experiments run through the spec layer only; ``repro.sim`` is the
+    engine and its result types."""
+
+    def test_top_level_run_entry_points_are_the_spec_runners(self):
+        runners = {name for name in repro.__all__ if name.startswith("run_")}
+        assert runners == {
+            "run_chaos",
+            "run_experiment",
+            "run_experiment_grid",
+            "run_experiment_replications",
+            "run_experiment_sweep",
+        }
+
+    def test_sim_exports_engine_and_result_types(self):
+        import repro.sim
+
+        assert sorted(repro.sim.__all__) == [
+            "CellSimulation",
+            "CompositeHooks",
+            "DownlinkSimulation",
+            "PhaseTimerHooks",
+            "ReplicatedMetric",
+            "SimHooks",
+            "SimulationConfig",
+            "SimulationResult",
+            "SubframeContext",
+            "SubframePipeline",
+            "SubframeStage",
+            "SweepPoint",
+            "gain_over",
+        ]
+
+    def test_result_types_live_in_sim_results(self):
+        import repro.sim
+        from repro.sim import results
+
+        for name in ("ReplicatedMetric", "SweepPoint", "gain_over"):
+            assert getattr(repro.sim, name) is getattr(results, name)
+
+    def test_sim_has_no_runner_module(self):
+        import repro.sim
+
+        modules = {info.name for info in pkgutil.iter_modules(repro.sim.__path__)}
+        assert modules == {"config", "downlink", "engine", "results", "stages"}
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"{repro.sim.__name__}.runner")
 
 
 class TestArrayReception:

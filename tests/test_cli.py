@@ -29,6 +29,30 @@ class TestParser:
         )
         assert (args.ues, args.k, args.samples) == (12, 6, 10)
 
+    N_JOBS_COMMANDS = [
+        ["compare"],
+        ["sweep"],
+        ["run-spec", "spec.json"],
+        ["deploy", "spec.json"],
+        ["resume", "ckpt"],
+    ]
+
+    @pytest.mark.parametrize("command", N_JOBS_COMMANDS)
+    def test_n_jobs_accepts_counts_and_all_cores(self, command):
+        for value in (-1, 1, 3):
+            args = build_parser().parse_args([*command, "--n-jobs", str(value)])
+            assert args.n_jobs == value
+
+    @pytest.mark.parametrize("command", N_JOBS_COMMANDS)
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_bad_n_jobs_is_a_usage_error(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([*command, "--n-jobs", value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "argument --n-jobs" in err
+
 
 class TestCommands:
     def test_overhead_output(self, capsys):
