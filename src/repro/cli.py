@@ -41,24 +41,27 @@ Every simulation command builds its experiment through
 scenario/scheduler registries — so anything runnable here is exportable
 to (and reproducible from) a ``specs/*.json`` file.
 
-``compare``, ``dynamics``, and ``run-spec`` accept ``--obs`` /
-``--obs-dir`` / ``--trace-out`` to collect :mod:`repro.obs` telemetry:
-the merged metrics table is printed after the results, ``metrics.json``
-(plus OpenMetrics ``metrics.prom``) lands in ``--obs-dir``, and
-``--trace-out`` writes the combined event timeline (``.jsonl``, or
-Chrome-viewer ``.json``).  ``--stream`` additionally records windowed
-time series (``series.json``, summarized after the metrics table), and
-``--telemetry-dir`` on campaign commands streams live progress events
-for ``repro monitor``.
+``compare``, ``dynamics``, ``run-spec`` (single or ``--seeds`` grid),
+``deploy`` and ``resume`` share one run path and the same ``--obs`` /
+``--obs-dir`` / ``--trace-out`` / ``--stream`` flags: the merged
+:mod:`repro.obs` metrics table is printed after the results, and the run
+directory gets ``metrics.json`` (plus OpenMetrics ``metrics.prom``) in
+``--obs-dir``, windowed time series in ``series.json``, and the combined
+event timeline in ``--trace-out`` (``.jsonl``, or Chrome-viewer
+``.json``).  ``resume`` cannot change the checkpointed spec, so it writes
+whatever telemetry the checkpointed runs carry.  ``--telemetry-dir`` on
+campaign commands streams live progress events for ``repro monitor``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Mapping, Optional, Tuple
 
 from repro import (
     BlueprintInference,
@@ -80,11 +83,21 @@ from repro.experiments import (
     SchedulerSpec,
     TimelineSpec,
     build_experiment,
+    run_experiment_grid,
     run_experiment_sweep,
 )
 from repro.sim.config import SimulationConfig
+from repro.sim.results import SimulationResult
 
 __all__ = ["main", "build_parser"]
+
+
+class _Abort(Exception):
+    """Stop a command: ``main`` prints the message and exits with ``code``."""
+
+    def __init__(self, message: str, code: int) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_spec.add_argument(
         "--seeds",
+        type=_seeds_arg,
         default=None,
         help=(
             "comma-separated seeds: run the (scheduler x seed) grid "
@@ -260,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--seeds",
+        type=_seeds_arg,
         default="0,1",
         help="comma-separated engine seeds for experiment-spec grids "
         "(ignored for deployment specs; default: 0,1)",
@@ -378,6 +393,19 @@ def _n_jobs_arg(text: str) -> int:
     return value
 
 
+def _seeds_arg(text: str) -> Tuple[int, ...]:
+    """``--seeds`` type: a non-empty comma-separated list of integers."""
+    try:
+        seeds = tuple(int(chunk) for chunk in text.split(",") if chunk.strip())
+    except ValueError:
+        seeds = ()
+    if not seeds:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integer seeds, got {text!r}"
+        )
+    return seeds
+
+
 def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -465,16 +493,17 @@ def _add_telemetry_arg(parser: argparse.ArgumentParser) -> None:
 
 def _obs_requested(args: argparse.Namespace) -> bool:
     return bool(
-        args.obs or args.obs_dir or args.trace_out
-        or getattr(args, "stream", False)
-        or getattr(args, "stream_window", None) is not None
+        args.obs or args.obs_dir or args.trace_out or args.stream
+        or args.stream_window is not None
     )
 
 
-def _apply_obs_args(
-    spec: ExperimentSpec, args: argparse.Namespace
-) -> ExperimentSpec:
-    """Overlay the CLI observability flags onto a spec's ``obs`` field."""
+def _apply_obs_args(spec, args: argparse.Namespace):
+    """Overlay the CLI observability flags onto a spec's ``obs`` field.
+
+    Serves both spec kinds: ``ExperimentSpec`` and ``DeploymentSpec`` each
+    carry ``obs`` and ``replace``.
+    """
     if not _obs_requested(args):
         return spec
     from repro.obs.config import ObsConfig
@@ -496,18 +525,32 @@ def _apply_obs_args(
     )
 
 
-def _emit_obs_artifacts(
-    results: Dict[str, object], args: argparse.Namespace, title: str
+def _write_run_dir(
+    runs: Mapping[str, SimulationResult],
+    args: argparse.Namespace,
+    title: str,
+    merge_series: bool = False,
 ) -> None:
-    """Print the metrics table and write --obs-dir / --trace-out files.
+    """Print the runs' merged telemetry and write the run-directory files.
 
-    No-op when neither the flags nor the spec asked for observability
-    (results then carry no snapshots).
+    ``runs`` maps a label to each result, in report order: scheduler
+    names, ``name/seed`` grid cells, or ``cell-{id}`` deployment cells.
+    ``--obs-dir`` receives ``metrics.json``, ``metrics.prom`` and
+    ``series.json`` (per-run frames, or with ``merge_series`` one frame
+    merged under ``title``); ``--trace-out`` receives the labelled runs'
+    combined event timeline.  No-op when no run carried telemetry.
     """
+    from repro.analysis.timeseries import format_timeseries_report
+    from repro.obs.openmetrics import write_metrics_prom
     from repro.obs.report import (
         collect_snapshot,
         format_obs_report,
         write_metrics_json,
+    )
+    from repro.obs.stream import (
+        TimeSeriesFrame,
+        collect_series,
+        write_series_json,
     )
     from repro.obs.trace import (
         merge_run_traces,
@@ -515,42 +558,33 @@ def _emit_obs_artifacts(
         write_trace_jsonl,
     )
 
-    snapshot = collect_snapshot(results.values())
+    snapshot = collect_snapshot(runs.values())
     if snapshot is None:
         if _obs_requested(args):
             print("no observability data collected", file=sys.stderr)
         return
     print()
     print(format_obs_report(snapshot, title=f"{title} telemetry"))
-    frames = {
-        name: result.obs_series
-        for name, result in results.items()
-        if getattr(result, "obs_series", None) is not None
-    }
+    if merge_series:
+        merged = collect_series(runs.values())
+        frames = {} if merged is None else {title: merged}
+    else:
+        frames = {
+            label: TimeSeriesFrame.from_dict(result.obs_series)
+            for label, result in runs.items()
+            if result.obs_series is not None
+        }
     if frames:
-        from repro.analysis.timeseries import format_timeseries_report
-
         print()
         print(format_timeseries_report(frames))
     if args.obs_dir:
         print(f"wrote {write_metrics_json(args.obs_dir, snapshot)}")
-        from repro.obs.openmetrics import write_metrics_prom
-
         print(f"wrote {write_metrics_prom(args.obs_dir, snapshot)}")
         if frames:
-            from repro.obs.stream import TimeSeriesFrame, write_series_json
-
-            parsed = {
-                name: TimeSeriesFrame.from_dict(frame)
-                for name, frame in frames.items()
-            }
-            print(f"wrote {write_series_json(args.obs_dir, parsed)}")
+            print(f"wrote {write_series_json(args.obs_dir, frames)}")
     if args.trace_out:
         events = merge_run_traces(
-            {
-                name: getattr(result, "obs_trace", None) or []
-                for name, result in results.items()
-            }
+            {label: result.obs_trace or [] for label, result in runs.items()}
         )
         out = Path(args.trace_out)
         if out.suffix == ".jsonl":
@@ -558,6 +592,97 @@ def _emit_obs_artifacts(
         else:
             write_trace_chrome(events, out)
         print(f"wrote {len(events)} trace events to {out}")
+
+
+def _is_deployment_spec(data: object) -> bool:
+    """True when parsed spec JSON carries the top-level deployment marker."""
+    from repro.deploy.spec import DEPLOYMENT_KIND
+
+    return isinstance(data, dict) and data.get("kind") == DEPLOYMENT_KIND
+
+
+def _read_spec(path: Path, command: Optional[str] = None):
+    """Parse a spec file as the kind ``command`` runs (by default the kind
+    ``_is_deployment_spec`` finds); raises SpecError, naming the right
+    command when the file parses as the other kind."""
+    from repro.deploy import DeploymentSpec
+
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as error:
+        raise SpecError(f"{path} is not valid JSON: {error}") from error
+    kinds = {"run-spec": ExperimentSpec, "deploy": DeploymentSpec}
+    runner = command or ("deploy" if _is_deployment_spec(data) else "run-spec")
+    try:
+        return kinds[runner].from_dict(data)
+    except SpecError as error:
+        if command is None:
+            raise
+        other = "deploy" if runner == "run-spec" else "run-spec"
+        try:
+            kinds[other].from_dict(data)
+        except SpecError:
+            raise error from None
+        kind = "a deployment" if other == "deploy" else "an experiment"
+        raise SpecError(
+            f"{path} is {kind} spec; run it with `repro {other}`"
+        ) from error
+
+
+def _load_spec(
+    path_text: str, command: Optional[str] = None, bad_spec_code: int = 1
+):
+    """The spec file a command runs (``command`` pins the kind it accepts).
+
+    A missing file exits 2; an unparsable spec, or one of the kind another
+    command runs, prints ``spec error:`` and exits ``bad_spec_code``.
+    """
+    path = Path(path_text)
+    if not path.is_file():
+        raise _Abort(f"no such spec file: {path}", 2)
+    try:
+        return _read_spec(path, command)
+    except SpecError as error:
+        raise _Abort(f"spec error: {error}", bad_spec_code) from error
+
+
+@contextlib.contextmanager
+def _spec_errors():
+    """Turn a SpecError raised while running a spec into exit code 1."""
+    try:
+        yield
+    except SpecError as error:
+        raise _Abort(f"spec error: {error}", 1) from error
+
+
+def _run_experiment(
+    spec: ExperimentSpec, args: argparse.Namespace, n_jobs: int = 1
+):
+    """The one single-experiment path of ``compare``, ``dynamics`` and
+    ``run-spec``: obs flags → ``--export-spec`` → build → run.
+
+    Returns ``(plan, results)``; the caller prints its report and hands
+    the results to :func:`_write_run_dir`.
+    """
+    with _spec_errors():
+        spec = _apply_obs_args(spec, args)
+        export = getattr(args, "export_spec", None)
+        if export:
+            Path(export).write_text(spec.to_json())
+            print(f"wrote spec to {export}")
+        plan = build_experiment(spec)
+        return plan, plan.run(n_jobs=n_jobs)
+
+
+def _print_comparison(results, baseline: str, title: str) -> None:
+    print(
+        format_comparison(
+            {name: result.summary() for name, result in results.items()},
+            metrics=["throughput_mbps", "rb_utilization", "jain_index"],
+            baseline=baseline,
+            title=title,
+        )
+    )
 
 
 def _comparison_schedulers(with_oracle: bool) -> dict:
@@ -596,41 +721,19 @@ def _compare_spec(args: argparse.Namespace) -> ExperimentSpec:
     )
 
 
-def _maybe_export(spec: ExperimentSpec, path: Optional[str]) -> None:
-    if path:
-        Path(path).write_text(spec.to_json())
-        print(f"wrote spec to {path}")
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
-    spec = _apply_obs_args(_compare_spec(args), args)
-    _maybe_export(spec, args.export_spec)
-    plan = build_experiment(spec)
-    results = plan.run(n_jobs=args.n_jobs)
+    plan, results = _run_experiment(_compare_spec(args), args, args.n_jobs)
+    title = (
+        f"{args.ues} UEs, {plan.topology.num_terminals} hidden "
+        f"terminals, M={args.antennas}"
+    )
     if args.markdown:
-        print(
-            comparison_report(
-                results,
-                title=(
-                    f"{args.ues} UEs, {plan.topology.num_terminals} hidden "
-                    f"terminals, M={args.antennas}"
-                ),
-                baseline="pf",
-            )
-        )
+        print(comparison_report(results, title=title, baseline="pf"))
     else:
-        print(
-            format_comparison(
-                {name: result.summary() for name, result in results.items()},
-                metrics=["throughput_mbps", "rb_utilization", "jain_index"],
-                baseline="pf",
-                title=(
-                    f"{args.ues} UEs, {plan.topology.num_terminals} hidden "
-                    f"terminals, M={args.antennas}, {args.subframes} subframes"
-                ),
-            )
+        _print_comparison(
+            results, "pf", f"{title}, {args.subframes} subframes"
         )
-    _emit_obs_artifacts(results, args, title=spec.name)
+    _write_run_dir(results, args, plan.spec.name)
     return 0
 
 
@@ -708,14 +811,10 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
     from repro.analysis.dynamics import dynamics_report, recovery_ratio
 
     if not 1 <= args.affected <= args.ues:
-        print(f"--affected must be in [1, {args.ues}]", file=sys.stderr)
-        return 2
-    spec = _apply_obs_args(_dynamics_spec(args), args)
-    _maybe_export(spec, args.export_spec)
-    plan = build_experiment(spec)
+        raise _Abort(f"--affected must be in [1, {args.ues}]", 2)
     # Serial run on purpose: it captures the live controller instances so
     # the report can read the adaptive controller's dynamics metrics.
-    results = plan.run(n_jobs=1)
+    plan, results = _run_experiment(_dynamics_spec(args), args)
     metrics = {
         name: scheduler.metrics
         for name, scheduler in plan.schedulers.items()
@@ -741,22 +840,25 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
     print(
         f"\npost-change utilization, adaptive vs full restart: {ratio:.3f}x"
     )
-    _emit_obs_artifacts(results, args, title=spec.name)
+    _write_run_dir(results, args, plan.spec.name)
     return 0
 
 
-def _format_grid(triples) -> int:
-    """Print a grid-result table; exit code 1 if any cell failed."""
-    from repro.resilience import FailedItem
-
-    rows = []
+def _report_grid(
+    triples, args: argparse.Namespace, title: str, checkpoint_dir
+) -> int:
+    """Print a (fresh or resumed) grid and write its run directory; exit
+    code 1 if any cell failed."""
+    _print_quarantine(checkpoint_dir)
+    rows, runs = [], {}
     failures = 0
     for name, seed, result in triples:
-        if result is None or isinstance(result, FailedItem):
+        if not isinstance(result, SimulationResult):
             failures += 1
             detail = (
-                f"FAILED ({result.error_type} after {result.attempts} "
-                f"attempt(s))" if isinstance(result, FailedItem) else "missing"
+                "missing" if result is None
+                else f"FAILED ({result.error_type} after {result.attempts} "
+                f"attempt(s))"
             )
             rows.append([name, seed, detail, "-"])
             continue
@@ -769,6 +871,7 @@ def _format_grid(triples) -> int:
                 f"{summary['rb_utilization']:.3f}",
             ]
         )
+        runs[f"{name}/{seed}"] = result
     print(
         format_table(
             ["scheduler", "seed", "throughput_mbps", "rb_utilization"],
@@ -778,53 +881,34 @@ def _format_grid(triples) -> int:
     )
     if failures:
         print(f"{failures} cell(s) failed permanently", file=sys.stderr)
-        return 1
-    return 0
+    _write_run_dir(runs, args, title)
+    return 1 if failures else 0
 
 
 def _cmd_run_spec(args: argparse.Namespace) -> int:
-    path = Path(args.spec)
-    if not path.is_file():
-        print(f"no such spec file: {path}", file=sys.stderr)
-        return 2
     if args.checkpoint_dir is not None and args.seeds is None:
-        print("--checkpoint-dir requires --seeds (grid mode)", file=sys.stderr)
-        return 2
-    try:
-        spec = _apply_obs_args(ExperimentSpec.from_json(path.read_text()), args)
-        if args.seeds is not None:
-            from repro.experiments import run_experiment_grid
-
-            seeds = [int(value) for value in args.seeds.split(",") if value]
+        raise _Abort("--checkpoint-dir requires --seeds (grid mode)", 2)
+    spec = _load_spec(args.spec, "run-spec")
+    if args.seeds is not None:
+        with _spec_errors():
+            spec = _apply_obs_args(spec, args)
             triples = run_experiment_grid(
                 spec,
-                seeds,
+                list(args.seeds),
                 n_jobs=args.n_jobs,
                 checkpoint_dir=args.checkpoint_dir,
                 supervisor=_supervisor_from_args(args),
                 telemetry_dir=args.telemetry_dir,
             )
-            _print_quarantine(args.checkpoint_dir)
-            return _format_grid(triples)
-        if args.telemetry_dir is not None:
-            print(
-                "--telemetry-dir requires --seeds (grid mode); ignoring",
-                file=sys.stderr,
-            )
-        plan = build_experiment(spec)
-        results = plan.run(n_jobs=args.n_jobs)
-    except SpecError as error:
-        print(f"spec error: {error}", file=sys.stderr)
-        return 1
-    baseline = args.baseline or next(iter(spec.scheduler_names))
-    print(
-        format_comparison(
-            {name: result.summary() for name, result in results.items()},
-            metrics=["throughput_mbps", "rb_utilization", "jain_index"],
-            baseline=baseline,
-            title=spec.name,
+        return _report_grid(triples, args, spec.name, args.checkpoint_dir)
+    if args.telemetry_dir is not None:
+        print(
+            "--telemetry-dir requires --seeds (grid mode); ignoring",
+            file=sys.stderr,
         )
-    )
+    plan, results = _run_experiment(spec, args, args.n_jobs)
+    baseline = args.baseline or next(iter(spec.scheduler_names))
+    _print_comparison(results, baseline, spec.name)
     if plan.multichannel is not None and plan.ue_channels is not None:
         from repro.analysis.channels import channel_assignment_report
 
@@ -832,34 +916,15 @@ def _cmd_run_spec(args: argparse.Namespace) -> int:
         print(
             channel_assignment_report(plan.multichannel, plan.ue_channels)
         )
-    _emit_obs_artifacts(results, args, title=spec.name)
+    _write_run_dir(results, args, spec.name)
     return 0
 
 
-def _apply_deploy_obs_args(spec, args: argparse.Namespace):
-    """Overlay the CLI observability flags onto a DeploymentSpec."""
-    if not _obs_requested(args):
-        return spec
-    from repro.obs.config import ObsConfig
-
-    base = spec.obs or ObsConfig()
-    return spec.replace(
-        obs=dataclasses.replace(
-            base,
-            enabled=True,
-            stream=base.stream or bool(args.stream)
-            or args.stream_window is not None,
-            stream_window=(
-                args.stream_window
-                if args.stream_window is not None
-                else base.stream_window
-            ),
-        )
-    )
-
-
-def _format_campaign(campaign, per_cell: bool = False) -> int:
-    """Print a campaign's deployment report; exit 1 on failed clusters."""
+def _report_campaign(
+    campaign, args: argparse.Namespace, per_cell: bool = False
+) -> int:
+    """Print a campaign's deployment report and write its run directory;
+    exit 1 on failed clusters."""
     deployment = campaign.deployment
     sizes = sorted((len(c) for c in deployment.clusters), reverse=True)
     print(
@@ -914,7 +979,7 @@ def _format_campaign(campaign, per_cell: bool = False) -> int:
                 title=f"Deployment report: {campaign.spec.name}",
             )
         )
-    for cell in getattr(campaign, "quarantined_cells", []):
+    for cell in campaign.quarantined_cells:
         print(f"DEGRADED: {cell.note()}", file=sys.stderr)
     if campaign.failed_clusters:
         print(
@@ -922,65 +987,27 @@ def _format_campaign(campaign, per_cell: bool = False) -> int:
             f"{sorted(campaign.failed_clusters)}",
             file=sys.stderr,
         )
-        return 1
-    return 0
-
-
-def _emit_campaign_obs(campaign, args: argparse.Namespace) -> None:
-    """Print/write the campaign's merged telemetry (deploy and resume)."""
-    from repro.obs.report import format_obs_report, write_metrics_json
-
-    snapshot = campaign.obs_snapshot()
-    if snapshot is None:
-        if _obs_requested(args):
-            print("no observability data collected", file=sys.stderr)
-        return
-    print()
-    print(format_obs_report(snapshot, title=f"{campaign.spec.name} telemetry"))
-    frame = campaign.obs_series()
-    if frame is not None:
-        from repro.analysis.timeseries import format_timeseries_report
-
-        print()
-        print(format_timeseries_report({campaign.spec.name: frame}))
-    if args.obs_dir:
-        print(f"wrote {write_metrics_json(args.obs_dir, snapshot)}")
-        from repro.obs.openmetrics import write_metrics_prom
-
-        print(f"wrote {write_metrics_prom(args.obs_dir, snapshot)}")
-        if frame is not None:
-            from repro.obs.stream import write_series_json
-
-            print(
-                f"wrote "
-                f"{write_series_json(args.obs_dir, {campaign.spec.name: frame})}"
-            )
+    runs = {
+        f"cell-{cell_id}": result
+        for cell_id, result in campaign.ordered_cells()
+    }
+    _write_run_dir(runs, args, campaign.spec.name, merge_series=True)
+    return 1 if campaign.failed_clusters else 0
 
 
 def _cmd_deploy(args: argparse.Namespace) -> int:
-    from repro.deploy import DeploymentSpec, run_campaign
+    from repro.deploy import run_campaign
 
-    path = Path(args.spec)
-    if not path.is_file():
-        print(f"no such spec file: {path}", file=sys.stderr)
-        return 2
-    try:
-        spec = _apply_deploy_obs_args(
-            DeploymentSpec.from_json(path.read_text()), args
-        )
+    spec = _load_spec(args.spec, "deploy")
+    with _spec_errors():
         campaign = run_campaign(
-            spec,
+            _apply_obs_args(spec, args),
             n_jobs=args.n_jobs,
             checkpoint_dir=args.checkpoint_dir,
             supervisor=_supervisor_from_args(args),
             telemetry_dir=args.telemetry_dir,
         )
-    except SpecError as error:
-        print(f"spec error: {error}", file=sys.stderr)
-        return 1
-    code = _format_campaign(campaign, per_cell=args.per_cell)
-    _emit_campaign_obs(campaign, args)
-    return code
+    return _report_campaign(campaign, args, per_cell=args.per_cell)
 
 
 def _print_quarantine(checkpoint_dir) -> None:
@@ -1000,31 +1027,31 @@ def _print_quarantine(checkpoint_dir) -> None:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
+    """Finish a checkpointed run.  The checkpointed spec is fixed, so the
+    obs flags write whatever telemetry its runs carry."""
     from repro.errors import CheckpointError
     from repro.experiments import resume_checkpoint
 
     directory = Path(args.checkpoint_dir)
     if not directory.is_dir():
-        print(
+        raise _Abort(
             f"no such checkpoint directory: {directory}\n"
             "expected a directory previously written by a --checkpoint-dir "
             "run of `repro run-spec` or `repro deploy`",
-            file=sys.stderr,
+            2,
         )
-        return 2
     if not (directory / "manifest.json").is_file():
         contents = sorted(path.name for path in directory.iterdir())[:5]
         detail = (
             f"it holds {contents}" if contents else "it is empty"
         )
-        print(
+        raise _Abort(
             f"{directory} is not a resumable checkpoint directory: no "
             f"manifest.json found ({detail}).\n"
             "Point `repro resume` at the exact directory passed as "
             "--checkpoint-dir when the run was started.",
-            file=sys.stderr,
+            2,
         )
-        return 2
     try:
         kind, payload = resume_checkpoint(
             directory,
@@ -1033,23 +1060,20 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             telemetry_dir=args.telemetry_dir,
         )
     except (CheckpointError, SpecError) as error:
-        print(f"resume error: {error}", file=sys.stderr)
-        return 1
+        raise _Abort(f"resume error: {error}", 1) from error
     if kind == "grid":
-        _print_quarantine(directory)
-        return _format_grid(payload)
+        return _report_grid(payload, args, directory.name, directory)
     if kind == "deploy":
         # Checkpoint payloads carry each cell's telemetry (to_state keeps
-        # obs fields), so a resumed campaign can summarize the merged
-        # snapshot exactly like the original `deploy --obs` run.
-        code = _format_campaign(payload)
-        _emit_campaign_obs(payload, args)
-        return code
-    rows = [
-        [str(point.parameter), name, f"{result.summary()['throughput_mbps']:.3f}"]
-        for point in payload
-        for name, result in point.results.items()
-    ]
+        # obs fields), so a resumed campaign writes the same run directory
+        # as the original `deploy --obs` run.
+        return _report_campaign(payload, args)
+    rows, runs = [], {}
+    for point in payload:
+        for name, result in point.results.items():
+            throughput = result.summary()["throughput_mbps"]
+            rows.append([str(point.parameter), name, f"{throughput:.3f}"])
+            runs[f"{point.parameter}/{name}"] = result
     print(
         format_table(
             ["parameter", "scheduler", "throughput_mbps"],
@@ -1058,42 +1082,27 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         )
     )
     _print_quarantine(directory)
+    _write_run_dir(runs, args, directory.name)
     return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json
     import tempfile
 
     from repro.errors import ChaosError
     from repro.resilience import run_chaos
     from repro.resilience.chaos import write_verdict
 
-    path = Path(args.spec)
-    if not path.is_file():
-        print(f"no such spec file: {path}", file=sys.stderr)
-        return 2
+    # Exit 1 is reserved for auditor violations: a bad spec exits 2.
+    spec = _load_spec(args.spec, bad_spec_code=2)
     if args.rounds < 1:
-        print("--rounds must be at least 1", file=sys.stderr)
-        return 2
-    try:
-        spec_data = json.loads(path.read_text())
-    except json.JSONDecodeError as error:
-        print(f"spec error: {path} is not valid JSON: {error}", file=sys.stderr)
-        return 2
-    try:
-        seeds = tuple(
-            int(value) for value in args.seeds.split(",") if value.strip()
-        )
-    except ValueError:
-        print(f"bad --seeds: {args.seeds!r}", file=sys.stderr)
-        return 2
+        raise _Abort("--rounds must be at least 1", 2)
 
     def _run(workdir) -> int:
         try:
             verdict = run_chaos(
-                spec_data, rounds=args.rounds, seed=args.seed,
-                workdir=workdir, seeds=seeds or (0, 1),
+                spec, rounds=args.rounds, seed=args.seed,
+                workdir=workdir, seeds=args.seeds,
             )
         except (ChaosError, SpecError) as error:
             print(f"chaos error: {error}", file=sys.stderr)
@@ -1196,19 +1205,6 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _is_deployment_spec(text: str) -> bool:
-    """True when a spec file carries the top-level deployment kind marker."""
-    import json
-
-    from repro.deploy.spec import DEPLOYMENT_KIND
-
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        return False
-    return isinstance(data, dict) and data.get("kind") == DEPLOYMENT_KIND
-
-
 def _cmd_validate_specs(args: argparse.Namespace) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
@@ -1222,51 +1218,45 @@ def _cmd_validate_specs(args: argparse.Namespace) -> int:
     rows = []
     for path in paths:
         try:
-            text = path.read_text()
-            if _is_deployment_spec(text):
-                from repro.deploy import DeploymentSpec, build_deployment
+            spec = _read_spec(path)
+            if isinstance(spec, ExperimentSpec):
+                plan = build_experiment(spec)
+                for name in spec.scheduler_names:
+                    plan.build_scheduler(name)
+                row = [
+                    path.name,
+                    spec.scenario.kind,
+                    plan.topology.num_ues,
+                    len(spec.schedulers),
+                    spec.timeline.kind if spec.timeline else "-",
+                    (
+                        f"{spec.channels.plan.num_channels}ch/"
+                        f"{spec.channels.assignment}"
+                        if spec.channels is not None
+                        else "-"
+                    ),
+                ]
+            else:
+                from repro.deploy import build_deployment
 
-                dspec = DeploymentSpec.from_json(text)
-                deployment = build_deployment(dspec)
-                rows.append(
-                    [
-                        path.name,
-                        f"deployment/{dspec.placement.kind}",
-                        deployment.total_ues,
-                        1,
-                        f"{deployment.num_clusters} clusters",
-                        (
-                            f"{dspec.num_channels}ch/"
-                            f"{dspec.channel_assignment}"
-                            if dspec.num_channels > 1
-                            else "-"
-                        ),
-                    ]
-                )
-                continue
-            spec = ExperimentSpec.from_json(text)
-            plan = build_experiment(spec)
-            for name in spec.scheduler_names:
-                plan.build_scheduler(name)
+                deployment = build_deployment(spec)
+                row = [
+                    path.name,
+                    f"deployment/{spec.placement.kind}",
+                    deployment.total_ues,
+                    1,
+                    f"{deployment.num_clusters} clusters",
+                    (
+                        f"{spec.num_channels}ch/{spec.channel_assignment}"
+                        if spec.num_channels > 1
+                        else "-"
+                    ),
+                ]
         except SpecError as error:
             failures += 1
             print(f"FAIL {path.name}: {error}", file=sys.stderr)
             continue
-        rows.append(
-            [
-                path.name,
-                spec.scenario.kind,
-                plan.topology.num_ues,
-                len(spec.schedulers),
-                spec.timeline.kind if spec.timeline else "-",
-                (
-                    f"{spec.channels.plan.num_channels}ch/"
-                    f"{spec.channels.assignment}"
-                    if spec.channels is not None
-                    else "-"
-                ),
-            ]
-        )
+        rows.append(row)
     if rows:
         print(
             format_table(
@@ -1448,7 +1438,11 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _Abort as abort:
+        print(abort, file=sys.stderr)
+        return abort.code
 
 
 if __name__ == "__main__":

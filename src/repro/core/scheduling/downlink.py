@@ -17,48 +17,26 @@ as the uplink).  The scheduler maximizes expected delivered PF utility
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
-from repro.core.joint.provider import JointAccessProvider
-from repro.core.scheduling.base import UplinkScheduler, build_schedule
-from repro.core.scheduling.types import SchedulingContext
+from repro.core.scheduling.access_aware import AccessAwareScheduler
 from repro.lte.resources import SubframeSchedule
 
 __all__ = ["AccessAwareDownlinkScheduler", "downlink_delivered_bits"]
 
 
-class AccessAwareDownlinkScheduler(UplinkScheduler):
+class AccessAwareDownlinkScheduler(AccessAwareScheduler):
     """Eqn. 5 applied to DL reception success probabilities.
 
     Structurally identical to the UL access-aware scheduler — the
     probability that client ``i`` can *use* its grant becomes the
-    probability that ``i`` can *hear* its transmission — so the class reuses
-    the shared RB-walking skeleton.  It never schedules more than ``M``
-    streams per RB (over-scheduling transmissions is impossible on DL).
+    probability that ``i`` can *hear* its transmission — so it is that
+    scheduler under its own name, on the same scalar and vectorized
+    paths.  It never schedules more than ``M`` streams per RB
+    (over-scheduling transmissions is impossible on DL).
     """
 
     name = "dl-access-aware"
-
-    def __init__(self, provider: JointAccessProvider) -> None:
-        self.provider = provider
-
-    def schedule(self, context: SchedulingContext) -> SubframeSchedule:
-        def utility(rb: int, group: Sequence[int]) -> float:
-            streams = min(len(group), context.num_antennas)
-            if streams == 0:
-                return 0.0
-            return sum(
-                self.provider.access_probability(ue)
-                * context.pf_weight(ue, rb, streams)
-                for ue in group
-            )
-
-        return build_schedule(
-            context,
-            rb_utility=utility,
-            max_group_size=context.num_antennas,
-            grant_streams=lambda size: max(min(size, context.num_antennas), 1),
-        )
 
 
 def downlink_delivered_bits(

@@ -80,16 +80,16 @@ class CampaignResult:
     def summaries(self) -> Dict[int, Dict[str, float]]:
         """Per-cell summary metrics, keyed by cell id, in cell order."""
         return {
-            cell_id: self.cell_results[cell_id].summary()
-            for cell_id in sorted(self.cell_results)
+            cell_id: result.summary()
+            for cell_id, result in self.ordered_cells()
         }
 
     def per_ue_throughput_bps(self) -> Dict[int, float]:
         """Pooled per-UE throughput under deployment-wide *global* UE ids."""
         pooled: Dict[int, float] = {}
-        for cell_id in sorted(self.cell_results):
+        for cell_id, result in self.ordered_cells():
             cell = self.deployment.cells[cell_id]
-            per_ue = self.cell_results[cell_id].per_ue_throughput_bps()
+            per_ue = result.per_ue_throughput_bps()
             for local_ue, bps in per_ue.items():
                 pooled[cell.global_ue(local_ue)] = bps
         return pooled
@@ -114,27 +114,26 @@ class CampaignResult:
         )
         return report
 
-    def obs_snapshot(self) -> Optional[MetricsSnapshot]:
-        """Deterministic merge of every cell's obs snapshot, in cell order.
+    def ordered_cells(self) -> List[Tuple[int, SimulationResult]]:
+        """``(cell_id, result)`` pairs in ascending cell id.
 
-        Merge order is ascending cell id — independent of cluster
-        completion order or process layout — so the campaign-level
-        snapshot is identical for any ``n_jobs``.
+        This order — independent of cluster completion order or process
+        layout — is what every campaign-level merge uses, so merged
+        telemetry is identical for any ``n_jobs``.
         """
-        ordered = [
-            self.cell_results[cell_id] for cell_id in sorted(self.cell_results)
-        ]
-        return collect_snapshot(ordered)
+        return sorted(self.cell_results.items())
+
+    def obs_snapshot(self) -> Optional[MetricsSnapshot]:
+        """Deterministic merge of every cell's obs snapshot, in
+        :meth:`ordered_cells` order."""
+        return collect_snapshot(result for _, result in self.ordered_cells())
 
     def obs_series(self):
         """Campaign-wide time-series merge, same ordering contract as
         :meth:`obs_snapshot` (``None`` when streaming was off)."""
         from repro.obs.stream import collect_series
 
-        ordered = [
-            self.cell_results[cell_id] for cell_id in sorted(self.cell_results)
-        ]
-        return collect_series(ordered)
+        return collect_series(result for _, result in self.ordered_cells())
 
 
 def _run_cell(deployment: Deployment, cell_id: int) -> SimulationResult:

@@ -40,7 +40,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +48,10 @@ from repro.errors import ChaosError
 from repro.resilience.audit import audit_campaign
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.storage import StorageInterceptor, use_storage_interceptor
+
+if TYPE_CHECKING:
+    from repro.deploy.spec import DeploymentSpec
+    from repro.experiments.spec import ExperimentSpec
 
 __all__ = [
     "STORAGE_FAULT_KINDS",
@@ -305,28 +309,22 @@ class ChaosVerdict:
 class _Target:
     """One spec adapted to the chaos driver: run, resume, snapshot."""
 
-    def __init__(self, spec_data: Dict[str, Any], seeds: Tuple[int, ...]) -> None:
-        from repro.deploy.spec import DEPLOYMENT_KIND
+    def __init__(
+        self, spec: ExperimentSpec | DeploymentSpec, seeds: Tuple[int, ...]
+    ) -> None:
+        from repro.deploy.spec import DeploymentSpec
 
-        self.is_deployment = (
-            isinstance(spec_data, dict)
-            and spec_data.get("kind") == DEPLOYMENT_KIND
-        )
+        self.spec = spec
+        self.name = spec.name
         self.seeds = seeds
+        self.is_deployment = isinstance(spec, DeploymentSpec)
         if self.is_deployment:
             from repro.deploy.model import build_deployment
-            from repro.deploy.spec import DeploymentSpec
 
-            self.spec = DeploymentSpec.from_dict(spec_data)
-            self.num_items = build_deployment(self.spec).num_clusters
-            self.name = self.spec.name
+            self.num_items = build_deployment(spec).num_clusters
             self.kind = "deploy"
         else:
-            from repro.experiments.spec import ExperimentSpec
-
-            self.spec = ExperimentSpec.from_dict(spec_data)
-            self.num_items = len(seeds) * len(list(self.spec.scheduler_names))
-            self.name = self.spec.name
+            self.num_items = len(seeds) * len(list(spec.scheduler_names))
             self.kind = "grid"
 
     def run(self, checkpoint_dir, telemetry_dir=None) -> Any:
@@ -381,7 +379,7 @@ class _Target:
 
 
 def run_chaos(
-    spec_data: Dict[str, Any],
+    spec: ExperimentSpec | DeploymentSpec,
     rounds: int,
     seed: int,
     workdir,
@@ -389,15 +387,15 @@ def run_chaos(
 ) -> ChaosVerdict:
     """Run ``rounds`` seeded chaos rounds against a spec; see module doc.
 
-    ``spec_data`` is a parsed spec dict — an ``ExperimentSpec`` (run as a
-    ``(scheduler, seed)`` grid over ``seeds``) or a ``DeploymentSpec``
-    (run as a sharded campaign).  ``workdir`` receives one
+    ``spec`` is an ``ExperimentSpec`` (run as a ``(scheduler, seed)``
+    grid over ``seeds``) or a ``DeploymentSpec`` (run as a sharded
+    campaign).  ``workdir`` receives one
     ``round-NNN/`` checkpoint+telemetry directory per round plus a
     fault-free ``reference/`` the auditor compares against.
     """
     if rounds < 1:
         raise ChaosError(f"need at least one round, got {rounds}")
-    target = _Target(spec_data, tuple(seeds))
+    target = _Target(spec, tuple(seeds))
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.core.joint.provider import TopologyJointProvider
 from repro.core.scheduling._kernel import kernel_available
 from repro.core.scheduling.access_aware import AccessAwareScheduler
+from repro.core.scheduling.downlink import AccessAwareDownlinkScheduler
 from repro.core.scheduling.oracle import OracleScheduler
 from repro.core.scheduling.pf import ProportionalFairScheduler
 from repro.core.scheduling.speculative import SpeculativeScheduler
@@ -99,6 +100,7 @@ def schedulers_for(params):
         "pf": lambda: ProportionalFairScheduler(),
         "oracle": lambda: OracleScheduler(),
         "access-aware": lambda: AccessAwareScheduler(provider),
+        "dl-access-aware": lambda: AccessAwareDownlinkScheduler(provider),
         "speculative": lambda: SpeculativeScheduler(
             TopologyJointProvider(params["topology"]),
             overschedule_factor=params["overschedule_factor"],

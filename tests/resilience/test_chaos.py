@@ -11,6 +11,7 @@ from repro import (
     SchedulerSpec,
     SimulationConfig,
 )
+from repro.deploy import DeploymentSpec
 from repro.errors import ChaosError
 from repro.resilience import (
     STORAGE_FAULT_KINDS,
@@ -29,7 +30,7 @@ CHAOS_DEMO_SPEC = (
 )
 
 
-def grid_spec_data():
+def grid_spec():
     return ExperimentSpec(
         name="chaos-grid",
         scenario=ScenarioSpec(
@@ -40,7 +41,7 @@ def grid_spec_data():
         sim=SimulationConfig(num_subframes=300),
         schedulers={"pf": SchedulerSpec("pf")},
         seed=0,
-    ).to_dict()
+    )
 
 
 class TestSchedule:
@@ -153,22 +154,22 @@ class TestStorageChaos:
 
 class TestRunChaos:
     def test_grid_rounds_pass_and_reproduce(self, tmp_path):
-        spec_data = grid_spec_data()
+        spec = grid_spec()
         first = run_chaos(
-            spec_data, rounds=4, seed=5, workdir=tmp_path / "a", seeds=(0, 1)
+            spec, rounds=4, seed=5, workdir=tmp_path / "a", seeds=(0, 1)
         )
         assert first.ok
         assert first.kind == "grid"
         assert first.num_items == 2
         second = run_chaos(
-            spec_data, rounds=4, seed=5, workdir=tmp_path / "b", seeds=(0, 1)
+            spec, rounds=4, seed=5, workdir=tmp_path / "b", seeds=(0, 1)
         )
         assert first.to_dict() == second.to_dict()
 
     def test_deploy_rounds_with_quarantine(self, tmp_path):
-        spec_data = json.loads(CHAOS_DEMO_SPEC.read_text())
+        spec = DeploymentSpec.from_json(CHAOS_DEMO_SPEC.read_text())
         verdict = run_chaos(
-            spec_data, rounds=8, seed=1, workdir=tmp_path / "wd"
+            spec, rounds=8, seed=1, workdir=tmp_path / "wd"
         )
         assert verdict.ok
         assert verdict.kind == "deploy"
@@ -179,9 +180,9 @@ class TestRunChaos:
             assert round_.ok, round_.violations
 
     def test_quarantined_round_healed_on_disk(self, tmp_path):
-        spec_data = json.loads(CHAOS_DEMO_SPEC.read_text())
+        spec = DeploymentSpec.from_json(CHAOS_DEMO_SPEC.read_text())
         verdict = run_chaos(
-            spec_data, rounds=8, seed=1, workdir=tmp_path / "wd"
+            spec, rounds=8, seed=1, workdir=tmp_path / "wd"
         )
         struck = next(
             r for r in verdict.rounds if r.quarantined
@@ -195,7 +196,7 @@ class TestRunChaos:
 
     def test_verdict_report_round_trips(self, tmp_path):
         verdict = run_chaos(
-            grid_spec_data(), rounds=2, seed=0, workdir=tmp_path / "wd",
+            grid_spec(), rounds=2, seed=0, workdir=tmp_path / "wd",
             seeds=(0,),
         )
         path = write_verdict(verdict, tmp_path / "report.json")
@@ -206,7 +207,7 @@ class TestRunChaos:
 
     def test_rejects_zero_rounds(self, tmp_path):
         with pytest.raises(ChaosError, match="at least one round"):
-            run_chaos(grid_spec_data(), rounds=0, seed=0, workdir=tmp_path)
+            run_chaos(grid_spec(), rounds=0, seed=0, workdir=tmp_path)
 
     def test_fault_kinds_are_pinned(self):
         assert STORAGE_FAULT_KINDS == (

@@ -53,6 +53,26 @@ class TestParser:
         assert err.startswith("usage:")
         assert "argument --n-jobs" in err
 
+    SEEDS_COMMANDS = [["run-spec", "spec.json"], ["chaos", "spec.json"]]
+
+    @pytest.mark.parametrize("command", SEEDS_COMMANDS)
+    def test_seeds_parse_to_a_tuple(self, command):
+        args = build_parser().parse_args([*command, "--seeds", "0, 3,"])
+        assert args.seeds == (0, 3)
+
+    def test_chaos_default_seeds(self):
+        assert build_parser().parse_args(["chaos", "x.json"]).seeds == (0, 1)
+
+    @pytest.mark.parametrize("command", SEEDS_COMMANDS)
+    @pytest.mark.parametrize("value", ["a,b", ",", "1.5"])
+    def test_bad_seeds_is_a_usage_error(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([*command, "--seeds", value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "argument --seeds" in err
+
 
 class TestCommands:
     def test_overhead_output(self, capsys):
@@ -421,3 +441,124 @@ class TestChaosCommand:
             ["chaos", str(path), "--rounds", "2", "--seeds", "0"]
         ) == 0
         assert "kind grid" in capsys.readouterr().out
+
+
+def _grid_spec_path(tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "cli-grid",
+                "scenario": {
+                    "kind": "testbed",
+                    "params": {
+                        "num_ues": 4, "hts_per_ue": 1,
+                        "activity": 0.35, "seed": 3,
+                    },
+                    "snr": {"kind": "uniform", "seed": 4},
+                },
+                "sim": {"num_subframes": 200},
+                "schedulers": {
+                    "pf": {"kind": "pf"},
+                    "aa": {"kind": "access-aware"},
+                },
+                "seed": 0,
+            }
+        )
+    )
+    return path
+
+
+def _trace_processes(path):
+    """Labels of the runs a merged trace file covers (its process names)."""
+    from repro.obs import validate_trace_file
+
+    assert validate_trace_file(path) == []
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    return [e["args"]["name"] for e in events if e["name"] == "process_name"]
+
+
+class TestRunDirectory:
+    """Every spec-running command writes its run directory the same way."""
+
+    def test_grid_run_spec_writes_metrics_and_trace(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(
+            ["run-spec", str(_grid_spec_path(tmp_path)), "--seeds", "0,1",
+             "--obs-dir", str(out), "--trace-out", str(out / "trace.jsonl")]
+        ) == 0
+        assert "cli-grid telemetry" in capsys.readouterr().out
+        assert (out / "metrics.json").is_file()
+        assert (out / "metrics.prom").is_file()
+        assert _trace_processes(out / "trace.jsonl") == [
+            "pf/0", "aa/0", "pf/1", "aa/1",
+        ]
+        assert main(["obs-report", str(out)]) == 0
+        assert "trace trace.jsonl: valid" in capsys.readouterr().out
+
+    def test_grid_resume_writes_metrics(self, tmp_path, capsys):
+        spec = str(_grid_spec_path(tmp_path))
+        ckpt = tmp_path / "ckpt"
+        fresh = tmp_path / "fresh"
+        assert main(
+            ["run-spec", spec, "--seeds", "0,1", "--obs",
+             "--checkpoint-dir", str(ckpt), "--obs-dir", str(fresh)]
+        ) == 0
+        (ckpt / "cell-00001.json").unlink()
+        resumed = tmp_path / "resumed"
+        assert main(
+            ["resume", str(ckpt), "--obs-dir", str(resumed), "--stream"]
+        ) == 0
+        assert "ckpt telemetry" in capsys.readouterr().out
+        assert (resumed / "metrics.json").read_text() == (
+            (fresh / "metrics.json").read_text()
+        )
+
+    def test_deploy_trace_out_covers_every_cell(self, tmp_path, capsys):
+        path = tmp_path / "deploy.json"
+        path.write_text(_deployment_spec().to_json())
+        trace = tmp_path / "trace.jsonl"
+        assert main(["deploy", str(path), "--trace-out", str(trace)]) == 0
+        assert f"trace events to {trace}" in capsys.readouterr().out
+        assert _trace_processes(trace) == ["cell-0", "cell-1"]
+
+    def test_run_spec_names_deploy_for_a_deployment_spec(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "deploy.json"
+        path.write_text(_deployment_spec().to_json())
+        assert main(["run-spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "spec error" in err
+        assert "is a deployment spec; run it with `repro deploy`" in err
+
+    def test_deploy_names_run_spec_for_an_experiment_spec(
+        self, tmp_path, capsys
+    ):
+        assert main(["deploy", str(_grid_spec_path(tmp_path))]) == 1
+        err = capsys.readouterr().err
+        assert "spec error" in err
+        assert "is an experiment spec; run it with `repro run-spec`" in err
+
+    def test_deploy_accepts_a_spec_without_the_kind_marker(
+        self, tmp_path, capsys
+    ):
+        data = _deployment_spec().to_dict()
+        del data["kind"]
+        path = tmp_path / "deploy.json"
+        path.write_text(json.dumps(data))
+        assert main(["deploy", str(path)]) == 0
+        assert "Deployment report" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["run-spec"], ["run-spec", "--seeds", "0"], ["deploy"]]
+    )
+    def test_bad_obs_flag_is_a_spec_error(self, argv, tmp_path, capsys):
+        if argv[0] == "deploy":
+            path = tmp_path / "deploy.json"
+            path.write_text(_deployment_spec().to_json())
+        else:
+            path = _grid_spec_path(tmp_path)
+        argv = [argv[0], str(path), *argv[1:], "--stream-window", "0"]
+        assert main(argv) == 1
+        assert "spec error: obs.stream_window" in capsys.readouterr().err
