@@ -45,7 +45,12 @@ class WorkingTopology:
     """Mutable log-domain topology state for the repair loop.
 
     Internally keeps ``Z`` as an ``(h, N)`` boolean matrix and ``Q`` as a
-    length-``h`` vector, so all constraint sums reduce to one matmul.
+    length-``h`` vector.  The individual and pairwise sums of a state are
+    one matmul, ``Z^T diag(Q) Z``; its violations against a target are
+    memoized until the next mutation, so ranking, scoring and the
+    aggregate of one state share a single evaluation.  The repair loop
+    scores candidate moves as deltas on that matrix rather than by
+    evaluating copies (see :mod:`repro.core.blueprint.repair`).
     """
 
     def __init__(self, num_ues: int) -> None:
@@ -54,13 +59,16 @@ class WorkingTopology:
         self.num_ues = num_ues
         self._z: np.ndarray = np.zeros((0, num_ues), dtype=bool)
         self._q: np.ndarray = np.zeros(0, dtype=float)
-        # Memoized read-only snapshot served by edge_matrix(); dropped on
-        # every structural mutation.
+        # Memoized read-only snapshots served by edge_matrix() and
+        # weights; each is dropped by the mutations that change it.
         self._z_cache: Optional[np.ndarray] = None
+        self._q_cache: Optional[np.ndarray] = None
         # Monotonic mutation counter: bumped by every mutation (structural
-        # or weight), so external caches keyed on a topology state can tell
-        # whether the state they captured is still current.
+        # or weight), so caches keyed on a topology state can tell whether
+        # the state they captured is still current.
         self._version = 0
+        # (version, target, violation matrix, triplet violations).
+        self._violation_cache: Optional[tuple] = None
 
     @property
     def version(self) -> int:
@@ -84,6 +92,7 @@ class WorkingTopology:
         duplicate._z = self._z.copy()
         duplicate._q = self._q.copy()
         duplicate._version = self._version
+        duplicate._violation_cache = self._violation_cache
         return duplicate
 
     # -- mutation ----------------------------------------------------------
@@ -100,13 +109,13 @@ class WorkingTopology:
         self._z = np.vstack([self._z, row[None, :]]) if len(self._z) else row[None, :]
         self._q = np.append(self._q, float(q))
         self._z_cache = None
+        self._q_cache = None
         self._version += 1
         return len(self._q) - 1
 
     def set_weight(self, k: int, q: float) -> None:
-        # Weights are not part of the memoized Z snapshot, but the state
-        # still changed — bump the version for external observers.
         self._q[k] = max(float(q), 0.0)
+        self._q_cache = None
         self._version += 1
 
     def set_edge(self, k: int, ue: int, present: bool) -> None:
@@ -119,6 +128,7 @@ class WorkingTopology:
         if len(self._q) == 0:
             return
         self._z_cache = None
+        self._q_cache = None
         self._version += 1
         keep = (self._q > weight_floor) & self._z.any(axis=1)
         self._z = self._z[keep]
@@ -150,14 +160,22 @@ class WorkingTopology:
 
     @property
     def weights(self) -> np.ndarray:
-        return self._q
+        """``Q`` as a read-only snapshot (memoized between mutations).
+
+        Write-protected like :meth:`edge_matrix`, so an in-place edit
+        cannot leave the memoized violations stale (use :meth:`set_weight`).
+        """
+        if self._q_cache is None:
+            cache = self._q.copy()
+            cache.setflags(write=False)
+            self._q_cache = cache
+        return self._q_cache
 
     def edge_matrix(self) -> np.ndarray:
         """``Z`` as a read-only boolean snapshot (memoized between mutations).
 
-        The repair and MCMC loops call this once per move evaluation; a
-        write-protected cached copy makes the call O(1) on the hot path and
-        catches accidental in-place edits (use :meth:`set_edge`).
+        A write-protected cached copy makes repeated reads of one state
+        O(1) and catches accidental in-place edits (use :meth:`set_edge`).
         """
         if self._z_cache is None:
             cache = self._z.copy()
@@ -182,12 +200,39 @@ class WorkingTopology:
         return zf.T @ (zf * self._q[:, None])
 
     def violation_matrix(self, target: TransformedMeasurements) -> np.ndarray:
-        """Signed violations ``c``: contribution minus target, per constraint."""
+        """Signed violations ``c``: contribution minus target, per
+        constraint (read-only, memoized until the next mutation)."""
+        return self._violations(target)[0]
+
+    def _violations(
+        self, target: TransformedMeasurements
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The read-only violation matrix and triplet violations (in
+        ``target.triplet`` order), memoized for the current state."""
+        cached = self._violation_cache
+        if cached is not None and cached[0] == self._version and cached[1] is target:
+            return cached[2], cached[3]
         if target.num_ues != self.num_ues:
             raise InferenceError(
                 f"target covers {target.num_ues} UEs, topology has {self.num_ues}"
             )
-        return self.contribution_matrix() - target.matrix()
+        matrix = self.contribution_matrix() - target.matrix()
+        triplets = np.array(
+            [
+                self.triplet_contribution(i, j, k) - value
+                for (i, j, k), value in target.triplet.items()
+            ],
+            dtype=float,
+        )
+        matrix.setflags(write=False)
+        triplets.setflags(write=False)
+        self._violation_cache = (self._version, target, matrix, triplets)
+        return matrix, triplets
+
+    def triplet_violations(self, target: TransformedMeasurements) -> np.ndarray:
+        """Signed triplet violations in ``target.triplet`` order (read-only,
+        memoized until the next mutation)."""
+        return self._violations(target)[1]
 
     def triplet_contribution(self, i: int, j: int, k: int) -> float:
         """``sum_l z_il z_jl z_kl Q(l)`` — mass shared by all three clients."""
@@ -198,46 +243,57 @@ class WorkingTopology:
 
     def aggregate_violation(self, target: TransformedMeasurements) -> float:
         """Sum of absolute violations over all constraints (each counted once)."""
-        violation = self.violation_matrix(target)
-        upper = np.triu_indices(self.num_ues, k=1)
+        violation, triplets = self._violations(target)
         total = float(
-            np.abs(np.diag(violation)).sum() + np.abs(violation[upper]).sum()
+            np.abs(np.diag(violation)).sum() + np.abs(violation[target.upper]).sum()
         )
-        for (i, j, k), value in target.triplet.items():
-            total += abs(self.triplet_contribution(i, j, k) - value)
+        for amount in triplets.tolist():
+            total += abs(amount)
         return total
 
     def violations(
-        self, target: TransformedMeasurements, respect_tolerance: bool = True
+        self,
+        target: TransformedMeasurements,
+        respect_tolerance: bool = True,
+        limit: Optional[int] = None,
     ) -> List[ConstraintViolation]:
-        """All constraints violated beyond tolerance, most-violated first."""
-        matrix = self.violation_matrix(target)
-        found: List[ConstraintViolation] = []
-        for i in range(self.num_ues):
-            amount = float(matrix[i, i])
-            tolerance = target.individual_tolerance[i] if respect_tolerance else 0.0
-            if abs(amount) > tolerance:
-                found.append(ConstraintViolation("individual", i, amount))
-        for i in range(self.num_ues):
-            for j in range(i + 1, self.num_ues):
-                amount = float(matrix[i, j])
-                tolerance = (
-                    target.pairwise_tolerance[(i, j)] if respect_tolerance else 0.0
-                )
-                if abs(amount) > tolerance:
-                    found.append(ConstraintViolation("pairwise", (i, j), amount))
-        for (i, j, k), value in target.triplet.items():
-            amount = self.triplet_contribution(i, j, k) - value
-            tolerance = (
-                target.triplet_tolerance[(i, j, k)] if respect_tolerance else 0.0
+        """All constraints violated beyond tolerance, most-violated first.
+
+        Ties keep constraint order: individual by client, then pairwise in
+        row-major order, then triplets in ``target.triplet`` order.
+        ``limit`` returns only that many of the most violated.
+        """
+        violation, triplets = self._violations(target)
+        n = self.num_ues
+        amounts = np.concatenate(
+            (np.diag(violation), violation[target.upper], triplets)
+        )
+        magnitude = np.abs(amounts)
+        if respect_tolerance:
+            tolerance = target.tolerance_matrix()
+            violated = magnitude > np.concatenate(
+                (np.diag(tolerance), tolerance[target.upper], target.triplet_tolerances)
             )
-            if abs(amount) > tolerance:
-                found.append(ConstraintViolation("triplet", (i, j, k), amount))
-        found.sort(key=lambda v: -abs(v.amount))
-        return found
+        else:
+            violated = magnitude > 0.0
+        found = np.flatnonzero(violated)
+        order = found[np.argsort(-magnitude[found], kind="stable")][:limit]
+        pairs = n * (n - 1) // 2
+        ranked: List[ConstraintViolation] = []
+        for index, amount in zip(order.tolist(), amounts[order].tolist()):
+            if index < n:
+                ranked.append(ConstraintViolation("individual", index, amount))
+            elif index < n + pairs:
+                p = index - n
+                key = (int(target.upper[0][p]), int(target.upper[1][p]))
+                ranked.append(ConstraintViolation("pairwise", key, amount))
+            else:
+                key = tuple(int(u) for u in target.triplet_index[index - n - pairs])
+                ranked.append(ConstraintViolation("triplet", key, amount))
+        return ranked
 
     def is_satisfied(self, target: TransformedMeasurements) -> bool:
-        return not self.violations(target)
+        return not self.violations(target, limit=1)
 
     # -- export -----------------------------------------------------------------
 

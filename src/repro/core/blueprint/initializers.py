@@ -40,22 +40,11 @@ __all__ = [
 ]
 
 
-def _tolerance_matrix(target: TransformedMeasurements) -> np.ndarray:
-    n = target.num_ues
-    tol = np.zeros((n, n))
-    for i in range(n):
-        tol[i, i] = target.individual_tolerance[i]
-    for (i, j), value in target.pairwise_tolerance.items():
-        tol[i, j] = value
-        tol[j, i] = value
-    return tol
-
-
 def peeling_start(target: TransformedMeasurements) -> WorkingTopology:
     """Structural clique-peeling initialization (see module docstring)."""
     n = target.num_ues
     residual = target.matrix().copy()
-    tolerance = _tolerance_matrix(target)
+    tolerance = target.tolerance_matrix()
     terminals: List[Tuple[float, Set[int]]] = []
 
     max_extractions = 4 * n * n

@@ -16,7 +16,10 @@ otherwise.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
+
+import numpy as np
 
 from repro.errors import MeasurementError
 
@@ -105,6 +108,11 @@ def inverse_transform_q(big_q: float) -> float:
 class TransformedMeasurements:
     """The transformed constraint targets handed to the inference solver.
 
+    Immutable once built: the mappings are read-only views and the arrays
+    the solver reads on every candidate evaluation (the target and
+    tolerance matrices, the upper-triangle index, the triplet arrays) are
+    built once, write-protected, in the constructor.
+
     Attributes:
         num_ues: number of clients ``N``.
         individual: ``{i: P(i)}`` for every client.
@@ -112,6 +120,13 @@ class TransformedMeasurements:
         individual_tolerance: per-client satisfiability tolerance (driven by
             sampling noise; exact inputs use a tiny default).
         pairwise_tolerance: per-pair tolerance.
+        triplet: ``{(i, j, k): T(i, j, k)}`` for the supplied triples.
+        triplet_tolerance: per-triple tolerance.
+        upper: ``np.triu_indices(N, 1)``, the pairwise constraints in
+            row-major order.
+        triplet_index: ``(m, 3)`` client indices of the triples, in
+            :attr:`triplet` order; ``triplet_values`` and
+            ``triplet_tolerances`` align with it.
     """
 
     def __init__(
@@ -142,30 +157,71 @@ class TransformedMeasurements:
                 f"extra={sorted(extra)[:4]}); keys must be (i, j) with i < j"
             )
         self.num_ues = num_ues
-        self.individual = {i: float(v) for i, v in individual.items()}
-        self.pairwise = {k: float(v) for k, v in pairwise.items()}
-        self.individual_tolerance = {
+        self.individual = MappingProxyType(
+            {i: float(v) for i, v in individual.items()}
+        )
+        self.pairwise = MappingProxyType({k: float(v) for k, v in pairwise.items()})
+        self.individual_tolerance = MappingProxyType({
             i: float((individual_tolerance or {}).get(i, default_tolerance))
             for i in range(num_ues)
-        }
-        self.pairwise_tolerance = {
+        })
+        self.pairwise_tolerance = MappingProxyType({
             pair: float((pairwise_tolerance or {}).get(pair, default_tolerance))
             for pair in expected_pairs
-        }
+        })
         # Optional triplet constraints (Section 3.5): any subset of the
         # C(N,3) triples may be supplied; keys must be sorted (i < j < k).
-        self.triplet = {}
-        self.triplet_tolerance = {}
+        triplets: Dict[Tuple[int, int, int], float] = {}
+        triplet_tolerances: Dict[Tuple[int, int, int], float] = {}
         for key, value in (triplet or {}).items():
             i, j, k = key
             if not (0 <= i < j < k < num_ues):
                 raise MeasurementError(
                     f"triplet key must be sorted within range: {key}"
                 )
-            self.triplet[(i, j, k)] = float(value)
-            self.triplet_tolerance[(i, j, k)] = float(
+            triplets[(i, j, k)] = float(value)
+            triplet_tolerances[(i, j, k)] = float(
                 (triplet_tolerance or {}).get(key, default_tolerance)
             )
+        self.triplet = MappingProxyType(triplets)
+        self.triplet_tolerance = MappingProxyType(triplet_tolerances)
+
+        w = np.zeros((num_ues, num_ues))
+        tolerance = np.zeros((num_ues, num_ues))
+        for i, value in self.individual.items():
+            w[i, i] = value
+            tolerance[i, i] = self.individual_tolerance[i]
+        for (i, j), value in self.pairwise.items():
+            w[i, j] = w[j, i] = value
+            tolerance[i, j] = tolerance[j, i] = self.pairwise_tolerance[(i, j)]
+        self.upper = np.triu_indices(num_ues, k=1)
+        self.triplet_index = np.array(list(triplets), dtype=np.intp).reshape(-1, 3)
+        self.triplet_values = np.array(list(triplets.values()), dtype=float)
+        self.triplet_tolerances = np.array(
+            list(triplet_tolerances.values()), dtype=float
+        )
+        self._matrix = w
+        self._tolerance = tolerance
+        for array in (
+            w, tolerance, *self.upper, self.triplet_index,
+            self.triplet_values, self.triplet_tolerances,
+        ):
+            array.setflags(write=False)
+
+    def __reduce__(self):
+        return (
+            TransformedMeasurements,
+            (
+                self.num_ues,
+                dict(self.individual),
+                dict(self.pairwise),
+                dict(self.individual_tolerance),
+                dict(self.pairwise_tolerance),
+                1e-9,
+                dict(self.triplet),
+                dict(self.triplet_tolerance),
+            ),
+        )
 
     @staticmethod
     def from_probabilities(
@@ -192,16 +248,13 @@ class TransformedMeasurements:
             default_tolerance=default_tolerance,
         )
 
-    def matrix(self):
+    def matrix(self) -> np.ndarray:
         """The symmetric target matrix ``W`` with ``W[i,i] = P(i)`` and
         ``W[i,j] = P(i,j)`` — the weighted clique-cover view used by the
-        peeling initializer."""
-        import numpy as np
+        peeling initializer.  Read-only; copy it to modify."""
+        return self._matrix
 
-        w = np.zeros((self.num_ues, self.num_ues))
-        for i, value in self.individual.items():
-            w[i, i] = value
-        for (i, j), value in self.pairwise.items():
-            w[i, j] = value
-            w[j, i] = value
-        return w
+    def tolerance_matrix(self) -> np.ndarray:
+        """Per-constraint tolerances laid out like :meth:`matrix`
+        (read-only)."""
+        return self._tolerance

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import MeasurementError
 
@@ -68,6 +70,10 @@ class MeasurementScheduler:
     ("K clients, whose resulting pair-wise distributions have the least
     number of measurements thus far").  We use the intended orientation,
     ``log((1+T)/(1+c_j))``, clamped at zero for pairs already at target.
+
+    Pair counts live in an ``N x N`` integer matrix; a lookup table of the
+    ``T + 1`` pair values turns them into gains, and each greedy step adds
+    one column of those values into a gain vector, in selection order.
     """
 
     def __init__(
@@ -92,68 +98,86 @@ class MeasurementScheduler:
         #: listed pairs are tracked and balanced (online adaptation's
         #: targeted re-measurement after drift).  None = the full campaign.
         self._restricted = pairs is not None
+        tracked = np.zeros((num_ues, num_ues), dtype=bool)
         if pairs is None:
-            tracked = list(combinations(range(num_ues), 2))
+            tracked[:] = True
+            np.fill_diagonal(tracked, False)
         else:
-            tracked = []
-            seen = set()
             for raw in pairs:
                 pair = tuple(sorted(int(u) for u in raw))
                 if len(pair) != 2 or pair[0] == pair[1]:
                     raise MeasurementError(f"not a client pair: {raw}")
                 if not (0 <= pair[0] and pair[1] < num_ues):
                     raise MeasurementError(f"pair outside the cell: {raw}")
-                if pair not in seen:
-                    seen.add(pair)
-                    tracked.append(pair)
-            if not tracked:
+                tracked[pair] = tracked[pair[::-1]] = True
+            if not tracked.any():
                 raise MeasurementError("restricted pair set is empty")
-        self.counts: Dict[Tuple[int, int], int] = {pair: 0 for pair in tracked}
+        self._tracked = tracked
+        self._counts = np.zeros((num_ues, num_ues), dtype=np.int64)
+        # Row-major upper-triangle slots of the tracked pairs: the order in
+        # which ties for the least-sampled pair are broken.
+        self._pair_slots = np.flatnonzero(np.triu(tracked).ravel())
+        self._below_target = len(self._pair_slots)
+        self._values = np.array(
+            [math.log((1 + samples) / (1 + count)) for count in range(samples + 1)]
+        )
         self.subframes_used = 0
 
     @property
+    def counts(self) -> Dict[Tuple[int, int], int]:
+        """``{(i, j): samples so far}`` for every tracked pair (a copy)."""
+        rows, cols = np.unravel_index(self._pair_slots, self._counts.shape)
+        values = self._counts.ravel()[self._pair_slots]
+        return {
+            (i, j): c
+            for i, j, c in zip(rows.tolist(), cols.tolist(), values.tolist())
+        }
+
+    @property
     def finished(self) -> bool:
-        return all(count >= self.samples for count in self.counts.values())
+        return self._below_target == 0
 
-    def _pair_value(self, count: int) -> float:
-        clamped = min(count, self.samples)
-        return math.log((1 + self.samples) / (1 + clamped))
-
-    def _gain(self, selected: Sequence[int], candidate: int) -> float:
-        total = 0.0
-        for other in selected:
-            count = self.counts.get(tuple(sorted((candidate, other))))
-            if count is not None:  # untracked pairs carry no gain
-                total += self._pair_value(count)
-        return total
+    def _pair_values(self, ue: int) -> np.ndarray:
+        """Every client's pair value with ``ue``; untracked pairs give 0."""
+        counts = np.minimum(self._counts[:, ue], self.samples)
+        return self._values[counts] * self._tracked[:, ue]
 
     def next_schedule(self) -> List[int]:
         """Greedily pick the K clients for the next measurement subframe."""
-        selected: List[int] = []
-        remaining = set(range(self.num_ues))
         # Seed with the least-sampled pair so progress is guaranteed.
-        worst_pair = min(self.counts, key=lambda p: (self.counts[p], p))
-        for ue in worst_pair:
-            selected.append(ue)
-            remaining.discard(ue)
-        while len(selected) < self.k and remaining:
-            best = max(
-                sorted(remaining),
-                key=lambda ue: self._gain(selected, ue),
-            )
+        slot = self._pair_slots[np.argmin(self._counts.ravel()[self._pair_slots])]
+        selected = list(divmod(int(slot), self.num_ues))
+        gain = np.zeros(self.num_ues)
+        picked = np.zeros(self.num_ues, dtype=bool)
+        for ue in selected:
+            gain += self._pair_values(ue)
+            picked[ue] = True
+        while len(selected) < self.k:
+            best = int(np.argmax(np.where(picked, -np.inf, gain)))
             selected.append(best)
-            remaining.discard(best)
+            gain += self._pair_values(best)
+            picked[best] = True
         return sorted(selected)
 
     def record(self, scheduled: Sequence[int]) -> None:
         """Account a subframe's schedule into the pair counts."""
-        distinct = sorted(set(scheduled))
-        for pair in combinations(distinct, 2):
-            if pair not in self.counts:
-                if self._restricted:
-                    continue  # pairs outside the sub-schedule are not tracked
-                raise MeasurementError(f"unknown pair {pair}")
-            self.counts[pair] += 1
+        distinct = sorted(set(int(u) for u in scheduled))
+        inside = [u for u in distinct if 0 <= u < self.num_ues]
+        if len(inside) < len(distinct):
+            if not self._restricted:
+                for pair in combinations(distinct, 2):
+                    if pair[0] < 0 or pair[1] >= self.num_ues:
+                        raise MeasurementError(f"unknown pair {pair}")
+            distinct = inside  # pairs outside the sub-schedule are not tracked
+        index = np.array(distinct, dtype=np.intp)
+        # Every ordered pair of scheduled clients as a flat matrix slot;
+        # the diagonal and untracked pairs are masked out.
+        slots = (index[:, None] * self.num_ues + index).ravel()
+        counts = self._counts.ravel()
+        tracked = self._tracked.ravel()[slots]
+        reached = np.count_nonzero(tracked & (counts[slots] == self.samples - 1))
+        counts[slots] += tracked
+        self._below_target -= reached // 2
         self.subframes_used += 1
 
     def plan(self, max_subframes: int | None = None) -> List[List[int]]:

@@ -73,6 +73,18 @@ class TestWorkingTopology:
         duplicate.set_weight(0, 0.9)
         assert working.weights[0] == pytest.approx(0.5)
 
+    def test_state_views_are_read_only(self):
+        working = WorkingTopology(2)
+        working.add_terminal(0.5, [0])
+        with pytest.raises(ValueError):
+            working.weights[0] = 0.9
+        with pytest.raises(ValueError):
+            working.edge_matrix()[0, 1] = True
+        snapshot = working.weights
+        working.set_weight(0, 0.9)
+        assert snapshot[0] == 0.5
+        assert working.weights[0] == 0.9
+
     def test_prune_drops_zero_weight(self):
         working = WorkingTopology(2)
         working.add_terminal(0.0, [0])
@@ -128,6 +140,22 @@ class TestConstraintArithmetic:
         loose = exact_target(simple_topology, tolerance=0.1)
         assert not working.is_satisfied(tight)
         assert working.is_satisfied(loose)
+
+    def test_violations_follow_every_mutation(self, simple_topology):
+        target = exact_target(simple_topology)
+        working = working_from(simple_topology)
+        mutations = [
+            lambda t: t.set_weight(0, 0.7),
+            lambda t: t.set_edge(1, 2, True),
+            lambda t: t.add_terminal(0.25, [0, 2]),
+            lambda t: (t.add_terminal(0.5, [0, 2]), t.prune()),
+        ]
+        for mutate in mutations:
+            before = working.violation_matrix(target)
+            mutate(working)
+            expected = working.contribution_matrix() - target.matrix()
+            assert (working.violation_matrix(target) == expected).all()
+            assert not (working.violation_matrix(target) == before).all()
 
     def test_mismatched_target_rejected(self, simple_topology):
         working = WorkingTopology(4)

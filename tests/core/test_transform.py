@@ -1,6 +1,7 @@
 """Tests for the log-domain transformation (Section 3.4.1)."""
 
 import math
+import pickle
 
 import pytest
 
@@ -88,6 +89,46 @@ class TestTransformedMeasurements:
         target = self.make()
         assert target.individual_tolerance[0] == pytest.approx(1e-9)
         assert target.pairwise_tolerance[(0, 1)] == pytest.approx(1e-9)
+
+    def test_measurements_are_read_only(self):
+        target = TransformedMeasurements(
+            3,
+            {0: 0.1, 1: 0.2, 2: 0.3},
+            {(0, 1): 0.01, (0, 2): 0.02, (1, 2): 0.03},
+            triplet={(0, 1, 2): 0.005},
+        )
+        for mapping, key in (
+            (target.individual, 0),
+            (target.pairwise, (0, 1)),
+            (target.triplet, (0, 1, 2)),
+            (target.individual_tolerance, 0),
+            (target.pairwise_tolerance, (0, 1)),
+            (target.triplet_tolerance, (0, 1, 2)),
+        ):
+            with pytest.raises(TypeError):
+                mapping[key] = 1.0
+        for array in (
+            target.matrix(),
+            target.tolerance_matrix(),
+            target.triplet_values,
+            target.triplet_tolerances,
+        ):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_pickle_roundtrip(self):
+        target = TransformedMeasurements(
+            3,
+            {0: 0.1, 1: 0.2, 2: 0.3},
+            {(0, 1): 0.01, (0, 2): 0.02, (1, 2): 0.03},
+            pairwise_tolerance={(0, 1): 0.5},
+            triplet={(0, 1, 2): 0.005},
+        )
+        restored = pickle.loads(pickle.dumps(target))
+        assert dict(restored.pairwise) == dict(target.pairwise)
+        assert dict(restored.pairwise_tolerance) == dict(target.pairwise_tolerance)
+        assert dict(restored.triplet) == dict(target.triplet)
+        assert (restored.matrix() == target.matrix()).all()
 
     def test_matrix_layout(self):
         target = self.make()

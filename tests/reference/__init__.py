@@ -11,6 +11,9 @@ It draws the same random numbers in the same order (the parent generator
 seeds the default activity processes, then each UE channel, then the eNB),
 so a seeded run equals the engine's field for field; both must reproduce
 ``tests/sim/data/engine_snapshots.json``.  Nothing under ``src/`` imports it.
+
+The control plane's oracles sit beside it: :mod:`tests.reference.measurement`
+(Algorithm 1) and :mod:`tests.reference.blueprint` (gradient repair).
 """
 
 from __future__ import annotations
