@@ -6,16 +6,18 @@ The schedulers keep three flavours that must emit identical schedules
 * scalar — ``SchedulingContext(vectorized=False)``, the reference;
 * pure-Python vectorized — ``vectorized=True`` with
   ``REPRO_DISABLE_KERNEL=1``;
-* kernel — ``vectorized=True`` with the compiled greedy kernel.
+* kernel — ``vectorized=True`` with the compiled kernels: the greedy
+  fill for PF, the joint-service cache misses for speculative BLU.
 
 This script runs one seeded cell per shape, records the context of every
 ``schedule()`` call, then replays those contexts through a fresh
 scheduler once per flavour and reports milliseconds per call.  Shapes
 follow the BLU benchmark's ``cell-pf`` (PF, 20 UEs, 20 RBs, M=4) and
 ``cell-blu`` (speculative BLU on the inferred blueprint, 28 UEs, 10 RBs,
-M=4) workloads.  The speculative utility is not linear in the group, so
-it has no kernel flavour.  Finally it times the whole ``cell-pf``-sized
-cell with and without the kernel (min of three interleaved runs each).
+M=4) workloads.  Each speculative flavour prices on a fresh provider of
+the inferred blueprint, so it pays its own service-table misses.
+Finally it times the whole ``cell-pf``-sized cell with and without the
+kernel (min of three interleaved runs each).
 
 Usage::
 
@@ -28,6 +30,7 @@ import os
 import time
 
 from repro.core.controller import BLUPhase
+from repro.core.joint.provider import TopologyJointProvider
 from repro.core.scheduling import ProportionalFairScheduler
 from repro.core.scheduling._kernel import kernel_available
 from repro.core.scheduling.types import SchedulingContext
@@ -113,7 +116,7 @@ def capture(name: str, calls: int):
     blueprint = scheduler._speculative
     return (
         lambda: type(blueprint)(
-            blueprint.provider,
+            TopologyJointProvider(blueprint.provider.topology),
             overschedule_factor=blueprint.overschedule_factor,
         )
     ), recorded
@@ -159,9 +162,7 @@ def main() -> None:
             f"{name}: {len(recorded)} calls, ms/call scalar {scalar:.3f}  "
             f"pure-python {pure:.3f}"
         )
-        if SHAPES[name][0] != "pf":
-            line += "  kernel n/a (non-linear utility)"
-        elif kernel_available():
+        if kernel_available():
             kernel = time_flavour(factory, recorded, True, kernel=True)
             line += f"  kernel {kernel:.3f}"
         print(line)

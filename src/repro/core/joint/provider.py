@@ -15,17 +15,20 @@ Two implementations:
 * :class:`TopologyJointProvider` — exact, from an (inferred or ground-truth)
   :class:`~repro.topology.graph.InterferenceTopology`.  The pmf over clear
   patterns is built by convolving the independent hidden terminals, grouped
-  by their footprint inside ``G``; cost is linear in the number of attached
+  by their footprint inside ``G``; cost is linear in the number of
   terminals and in the number of *realizable* patterns, so group sizes up to
   ``2M`` are cheap.  Results are memoized: the scheduler re-queries the same
-  groups every TxOP while only rates change.
+  groups every TxOP while only rates change.  The scheduler's service
+  queries go through int-bitmask tables whose cache misses run in the
+  compiled ``joint_service`` kernel when one is available.
 * :class:`EmpiricalJointProvider` — counts patterns in a recorded clear/
   blocked matrix, the "directly from the traces" mode of Fig. 15.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+import ctypes
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +43,18 @@ __all__ = [
 
 PatternDistribution = Dict[FrozenSet[int], float]
 PatternTable = Dict[Tuple[int, int], float]
+
+_U64 = (1 << 64) - 1
+
+
+def _members(mask: int) -> List[int]:
+    """The UE ids of a group bitmask, ascending."""
+    members = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        members.append(bit.bit_length() - 1)
+    return members
 
 
 class JointAccessProvider:
@@ -120,42 +135,38 @@ class _FastJointTables:
     The scheduler's vectorized flavour queries service probabilities per
     candidate group at every greedy step; this class answers those queries
     with integer bitmask keys (cheap hashing, cheap set algebra) and
-    *incremental* group state: extending group ``G`` to ``G ∪ {c}`` merges
-    ``G``'s ordered attached-terminal list with ``c``'s precomputed
-    terminal list instead of re-scanning every terminal of the topology.
+    memoizes each group's answer forever.  A cache miss runs the compiled
+    ``joint_service`` kernel (``core/scheduling/_kernel.py``) when it is
+    loaded and the group fits it (UE ids below 64, at most
+    ``MAX_ORTHOGONAL_PILOTS`` members — the scheduler's group cap);
+    otherwise the Python walk in :meth:`_walk`.  Either costs one pass
+    over the topology's terminals plus the group's realizable patterns.
 
     Bit-exactness: the reference implementation's floats depend on dict
     insertion orders (footprints first seen in terminal order; blocked
     sets convolved in that order; per-UE sums accumulated in pattern
     order).  The bitmask keys are a bijection of the frozenset keys, and
-    every loop here visits keys in the same order the reference does, so
-    every product and sum is the identical IEEE operation sequence.  That
-    is also why the blocked-set convolution is *not* resumed from the
-    parent's pmf: folding ``c``'s factors after ``G``'s would change the
-    multiplication association wherever ``c``'s terminals interleave, so
-    the incremental reuse is at the attachment/footprint level while each
-    distinct group's convolution runs once and is memoized forever.
+    both the walk and the kernel visit keys in the same order the
+    reference does, so every product and sum is the identical IEEE
+    operation sequence.  That is also why the blocked-set convolution is
+    *not* resumed from a parent group's pmf: folding a new member's
+    factors after the parent's would change the multiplication
+    association wherever its terminals interleave, so each distinct
+    group's convolution runs once, from scratch.
     """
 
     def __init__(self, topology: InterferenceTopology) -> None:
+        # Imported here: the scheduling package imports this module.
+        from repro.core.scheduling._kernel import KERNEL_MAX_MEMBERS, kernel
+
         self.idle = tuple(1.0 - q for q in topology.q)
         term_masks = []
-        ue_terminals: Dict[int, list] = {}
-        for index, edge_set in enumerate(topology.edges):
+        for edge_set in topology.edges:
             mask = 0
             for ue in edge_set:
                 mask |= 1 << ue
-                ue_terminals.setdefault(ue, []).append(index)
             term_masks.append(mask)
         self.term_masks = tuple(term_masks)
-        #: Per-UE terminal indices, ascending — the increment merged in
-        #: when a greedy step attaches that UE to the group.
-        self.ue_terminals = {
-            ue: tuple(indices) for ue, indices in ue_terminals.items()
-        }
-        #: group mask -> ordered attached-terminal tuple (ascending index,
-        #: i.e. exactly the subsequence a full terminal scan would visit).
-        self._attached: Dict[int, Tuple[int, ...]] = {}
         #: (group mask, max streams) -> {ue: decodable-service probability}
         self._service: Dict[Tuple[int, int], Dict[int, float]] = {}
         #: Service-cache traffic, rolled into the owning provider's
@@ -164,65 +175,30 @@ class _FastJointTables:
         #: counters honest about the hot path).
         self.hits = 0
         self.misses = 0
+        lib = kernel()
+        self._kernel = None if lib is None else lib.joint_service
+        self._kernel_max_members = KERNEL_MAX_MEMBERS
+        if lib is not None:
+            # Masks cut to 64 bits: a kernel-eligible group lies below
+            # bit 64, so ``term & group`` is unchanged by the cut.
+            masks = np.array([m & _U64 for m in term_masks], dtype=np.uint64)
+            idle = np.array(self.idle, dtype=np.float64)
+            self._kernel_arrays = (masks, idle)  # alive while C reads them
+            self._kernel_args = (
+                masks.ctypes.data,
+                idle.ctypes.data,
+                len(term_masks),
+            )
+            self._kernel_out = (ctypes.c_double * KERNEL_MAX_MEMBERS)()
 
     def cache_size(self) -> int:
         return len(self._service)
 
-    def extend_attached(
-        self, attached: Tuple[int, ...], ue: int
-    ) -> Tuple[int, ...]:
-        """Merge ``ue``'s terminals into an ordered attached list."""
-        extra = self.ue_terminals.get(ue, ())
-        if not extra:
-            return attached
-        if not attached:
-            return extra
-        merged: list = []
-        i = j = 0
-        len_a, len_e = len(attached), len(extra)
-        while i < len_a and j < len_e:
-            a, e = attached[i], extra[j]
-            if a < e:
-                merged.append(a)
-                i += 1
-            elif e < a:
-                merged.append(e)
-                j += 1
-            else:
-                merged.append(a)
-                i += 1
-                j += 1
-        merged.extend(attached[i:])
-        merged.extend(extra[j:])
-        return tuple(merged)
-
-    def attached_for(self, mask: int) -> Tuple[int, ...]:
-        """Ordered attached-terminal list for an arbitrary group mask."""
-        cached = self._attached.get(mask)
-        if cached is None:
-            indices: set = set()
-            bits = mask
-            while bits:
-                bit = bits & -bits
-                bits ^= bit
-                indices.update(self.ue_terminals.get(bit.bit_length() - 1, ()))
-            cached = tuple(sorted(indices))
-            self._attached[mask] = cached
-        return cached
-
-    def service(
-        self,
-        mask: int,
-        max_streams: int,
-        parent_attached: Optional[Tuple[int, ...]] = None,
-        added: Optional[int] = None,
-    ) -> Dict[int, float]:
+    def service(self, mask: int, max_streams: int) -> Dict[int, float]:
         """Decodable-service probabilities for the group ``mask``.
 
-        ``parent_attached``/``added`` let the greedy path extend the
-        committed group's attachment state instead of re-deriving it; on a
-        cache hit neither is touched.  Returns ``{ue: Σ_{s≤M} π[(ue, s)]}``
-        with floats bit-identical to the frozenset-keyed reference.
+        Returns ``{ue: Σ_{s≤M} π[(ue, s)]}`` in ascending UE order, with
+        floats bit-identical to the frozenset-keyed reference.
         """
         key = (mask, max_streams)
         cached = self._service.get(key)
@@ -230,25 +206,35 @@ class _FastJointTables:
             self.hits += 1
             return cached
         self.misses += 1
-        if added is not None and parent_attached is not None:
-            attached = self._attached.get(mask)
-            if attached is None:
-                attached = self.extend_attached(parent_attached, added)
-                self._attached[mask] = attached
+        joint = self._kernel
+        if (
+            joint is not None
+            and mask <= _U64
+            and mask.bit_count() <= self._kernel_max_members
+        ):
+            out = self._kernel_out
+            members = _members(mask)
+            count = joint(*self._kernel_args, mask, max_streams, out)
+            if count != len(members):
+                raise RuntimeError(f"joint_service rejected group {mask:#x}")
+            service = dict(zip(members, out[:count]))
         else:
-            attached = self.attached_for(mask)
+            service = self._walk(mask, max_streams)
+        self._service[key] = service
+        return service
 
+    def _walk(self, mask: int, max_streams: int) -> Dict[int, float]:
+        """The pure-Python form of the ``joint_service`` kernel."""
         # Footprint products in first-seen terminal order (the reference
-        # scans all terminals ascending; ``attached`` is that scan's
-        # non-empty subsequence).
+        # scans all terminals ascending and skips the ones outside the
+        # group).
         footprint_idle: Dict[int, float] = {}
-        term_masks = self.term_masks
-        idle_by_terminal = self.idle
-        for index in attached:
-            footprint = term_masks[index] & mask
-            footprint_idle[footprint] = footprint_idle.get(
-                footprint, 1.0
-            ) * idle_by_terminal[index]
+        for term, term_idle in zip(self.term_masks, self.idle):
+            footprint = term & mask
+            if footprint:
+                footprint_idle[footprint] = (
+                    footprint_idle.get(footprint, 1.0) * term_idle
+                )
 
         blocked_dist: Dict[int, float] = {0: 1.0}
         for footprint, idle in footprint_idle.items():
@@ -271,11 +257,7 @@ class _FastJointTables:
         per_ue: Dict[int, Dict[int, float]] = {}
         for clear, prob in distribution.items():
             size = clear.bit_count()
-            bits = clear
-            while bits:
-                bit = bits & -bits
-                bits ^= bit
-                ue = bit.bit_length() - 1
+            for ue in _members(clear):
                 by_streams = per_ue.get(ue)
                 if by_streams is None:
                     per_ue[ue] = {size: prob}
@@ -283,11 +265,7 @@ class _FastJointTables:
                     by_streams[size] = by_streams.get(size, 0.0) + prob
 
         service: Dict[int, float] = {}
-        bits = mask
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            ue = bit.bit_length() - 1
+        for ue in _members(mask):
             total = 0.0
             by_streams = per_ue.get(ue)
             if by_streams is not None:
@@ -295,7 +273,6 @@ class _FastJointTables:
                     if streams <= max_streams:
                         total += prob
             service[ue] = total
-        self._service[key] = service
         return service
 
 

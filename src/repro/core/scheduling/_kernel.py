@@ -1,33 +1,48 @@
-"""Compiled greedy-scan kernel for the vectorized schedule builder.
+"""Compiled kernels for the scheduler's two interpreter-bound loops.
 
-The fast flavour's bottleneck is not arithmetic but *boxing*: the greedy
-chain scan (strict ``1e-15`` improvement over a running best, ascending id
-order) must stay a sequential recurrence to keep near-tie behaviour
-reproducible, and in pure Python that means materializing every weight as
-a heap-allocated float just to compare it.  This module compiles the same
-recurrence to native code once per machine and drives it over the unboxed
-``float64`` weight tensors directly.
+One shared library holds both:
 
-Bit-exactness: the kernel performs exactly the operations the Python loop
-performs — double additions (``base + w``, ``value + 1e-15``) and strict
-``>`` comparisons, in the same order.  There are no multiplications, so
-FMA contraction cannot alter any result, and x86-64/AArch64 both evaluate
-plain double adds in IEEE-754 binary64; the selected groups are therefore
-bit-identical to the pure-Python scan (which itself matches the scalar
-legacy flavour).  ``-ffp-contract=off`` is passed anyway as belt and
-braces.
+* ``greedy_fill`` — the vectorized schedule builder's greedy chain scan.
+  Its cost is not arithmetic but *boxing*: the scan (strict ``1e-15``
+  improvement over a running best, ascending id order) must stay a
+  sequential recurrence to keep near-tie behaviour reproducible, and in
+  pure Python that means materializing every weight as a heap-allocated
+  float just to compare it.  The kernel runs the same recurrence over the
+  unboxed ``float64`` weight tensors directly.
+* ``joint_service`` — a cache miss of the speculative scheduler's
+  decodable-service tables (Eqn. 4's ``Σ_{s≤M} π[(i, s)]``, see
+  ``_FastJointTables`` in ``core/joint/provider.py``): footprint
+  products, the blocked-set convolution and the per-member fold, a few
+  hundred float operations per group that the interpreter would pay
+  for one by one.
 
-The kernel is optional infrastructure, never a correctness dependency:
+Bit-exactness: each kernel performs exactly the IEEE-754 binary64
+operations its Python form performs, in the same order — ``greedy_fill``
+only double additions and strict ``>`` compares, ``joint_service`` the
+footprint products, ``prob + p * x`` convolution updates and the
+partial sums, keyed by local bit codes whose insertion order replays the
+Python dicts'.  ``joint_service`` multiplies and adds in one expression,
+so ``-ffp-contract=off`` is load-bearing: without it a compiler may fuse
+``prob + p * x`` into one FMA, rounding once instead of twice and
+changing the last bit (GCC's and clang's defaults both allow that on
+targets with FMA, such as AArch64).  ``-fno-fast-math`` likewise forbids
+reassociation.  x86-64 and AArch64 both evaluate plain double operations
+in binary64, so results are bit-identical to the interpreted paths
+(which themselves match the scalar references).  Both kernels keep all
+scratch state on the stack — no static buffers — so concurrent callers
+never share state.
+
+The library is optional infrastructure, never a correctness dependency:
 
 * compiled lazily on first use with whatever ``cc`` the platform has;
 * cached as a shared object in the user's temp directory, keyed by a
   hash of the source (concurrent builds race safely via atomic rename);
 * any failure — no compiler, compile error, unloadable object — degrades
-  to ``kernel() is None`` and callers keep the pure-Python scan; the
-  failure is reported once per process as a :class:`RuntimeWarning`
-  naming the compiler and the tail of its error output, because the
-  fallback changes speed (never results);
-* ``REPRO_DISABLE_KERNEL=1`` forces the pure path (used by tests to pin
+  to ``kernel() is None`` and callers keep the pure-Python greedy scan
+  and joint-service walk; the failure is reported once per process as a
+  :class:`RuntimeWarning` naming the compiler and the tail of its error
+  output, because the fallback changes speed (never results);
+* ``REPRO_DISABLE_KERNEL=1`` forces the pure paths (used by tests to pin
   down which flavour they exercise).
 """
 
@@ -42,11 +57,15 @@ import tempfile
 import warnings
 from typing import Optional
 
-__all__ = ["kernel", "kernel_available", "KERNEL_MAX_SLOTS"]
+__all__ = ["kernel", "kernel_available", "KERNEL_MAX_SLOTS", "KERNEL_MAX_MEMBERS"]
 
 #: Upper bound on slots (dense UE ids or compact indices) per kernel call;
 #: calls beyond it fall back to the pure-Python scan.
 KERNEL_MAX_SLOTS = 4096
+#: Upper bound on group members per ``joint_service`` call (the scheduler
+#: caps groups at ``MAX_ORTHOGONAL_PILOTS``, also 8); larger groups take
+#: the pure-Python walk.
+KERNEL_MAX_MEMBERS = 8
 _MAX_GROUP = 64
 
 _C_SOURCE = r"""
@@ -203,6 +222,145 @@ int64_t greedy_fill(
     }
     return max_new;
 }
+
+#define MAX_MEMBERS 8
+#define MAX_PATTERNS (1 << MAX_MEMBERS)
+
+/* Decodable-service probabilities of one group: out[j] = sum over s <= M
+ * of P(member j clears and exactly s members clear), members ascending.
+ *
+ * term_masks  : per hidden terminal, the bitmask of UEs it silences.
+ * idle        : per hidden terminal, 1 - q.
+ * mask        : the group's UE bitmask (at most MAX_MEMBERS bits).
+ * max_streams : M.
+ * out         : one probability per member.
+ *
+ * Returns the member count, or -1 on a bounds violation.
+ *
+ * Each step is the Python walk's exact IEEE operation sequence, over
+ * local codes (bit j = the group's j-th lowest UE) instead of UE masks:
+ * footprint products in ascending terminal order starting from 1.0;
+ * the blocked-set convolution in first-seen key order, a new key taking
+ * 0.0 + p * x; per-member, per-size partial sums in pattern order; and
+ * the sizes <= M summed in each member's first-seen size order.
+ */
+int64_t joint_service(
+    const uint64_t *term_masks,
+    const double *idle,
+    int64_t n_terms,
+    uint64_t mask,
+    int64_t max_streams,
+    double *out)
+{
+    int64_t member_bit[MAX_MEMBERS];
+    double fp_idle[MAX_PATTERNS];
+    uint8_t fp_seen[MAX_PATTERNS];
+    int64_t fp_order[MAX_PATTERNS];
+    double prob[2][MAX_PATTERNS];
+    uint8_t present[2][MAX_PATTERNS];
+    int64_t keys[2][MAX_PATTERNS];
+    int64_t n_keys[2];
+    double sums[MAX_MEMBERS][MAX_MEMBERS + 1];
+    uint8_t size_seen[MAX_MEMBERS][MAX_MEMBERS + 1];
+    int64_t size_order[MAX_MEMBERS][MAX_MEMBERS + 1];
+    int64_t n_sizes[MAX_MEMBERS];
+    int64_t n_members = 0, n_fp = 0, cur = 0, full, t, i, j, k;
+
+    if (n_terms < 0)
+        return -1;
+    for (t = 0; t < 64; t++) {
+        if (!(mask >> t & 1))
+            continue;
+        if (n_members == MAX_MEMBERS)
+            return -1;
+        member_bit[n_members++] = t;
+    }
+    full = ((int64_t)1 << n_members) - 1;
+
+    /* Footprints inside the group, merged in first-seen terminal order. */
+    memset(fp_seen, 0, sizeof(fp_seen));
+    for (t = 0; t < n_terms; t++) {
+        uint64_t footprint = term_masks[t] & mask;
+        int64_t code = 0;
+        if (!footprint)
+            continue;
+        for (j = 0; j < n_members; j++)
+            if (footprint >> member_bit[j] & 1)
+                code |= (int64_t)1 << j;
+        if (fp_seen[code]) {
+            fp_idle[code] = fp_idle[code] * idle[t];
+        } else {
+            fp_seen[code] = 1;
+            fp_idle[code] = 1.0 * idle[t];
+            fp_order[n_fp++] = code;
+        }
+    }
+
+    /* Blocked-set convolution; keys keep first-seen insertion order. */
+    keys[0][0] = 0;
+    prob[0][0] = 1.0;
+    n_keys[0] = 1;
+    for (i = 0; i < n_fp; i++) {
+        int64_t code = fp_order[i];
+        int64_t nxt = 1 - cur;
+        double x = fp_idle[code];
+        double busy = 1.0 - x;
+        n_keys[nxt] = 0;
+        memset(present[nxt], 0, sizeof(present[nxt]));
+        for (k = 0; k < n_keys[cur]; k++) {
+            int64_t blocked = keys[cur][k];
+            int64_t grown = blocked | code;
+            double p = prob[cur][blocked];
+            if (present[nxt][blocked]) {
+                prob[nxt][blocked] = prob[nxt][blocked] + p * x;
+            } else {
+                present[nxt][blocked] = 1;
+                keys[nxt][n_keys[nxt]++] = blocked;
+                prob[nxt][blocked] = 0.0 + p * x;
+            }
+            if (present[nxt][grown]) {
+                prob[nxt][grown] = prob[nxt][grown] + p * busy;
+            } else {
+                present[nxt][grown] = 1;
+                keys[nxt][n_keys[nxt]++] = grown;
+                prob[nxt][grown] = 0.0 + p * busy;
+            }
+        }
+        cur = nxt;
+    }
+
+    /* Clear patterns (a bijection of blocked sets, same order) folded into
+     * per-member, per-size partial sums. */
+    memset(size_seen, 0, sizeof(size_seen));
+    memset(n_sizes, 0, sizeof(n_sizes));
+    for (k = 0; k < n_keys[cur]; k++) {
+        int64_t clear = full & ~keys[cur][k];
+        int64_t size = 0;
+        double p = 0.0 + prob[cur][keys[cur][k]];
+        for (j = 0; j < n_members; j++)
+            size += clear >> j & 1;
+        for (j = 0; j < n_members; j++) {
+            if (!(clear >> j & 1))
+                continue;
+            if (size_seen[j][size]) {
+                sums[j][size] = sums[j][size] + p;
+            } else {
+                size_seen[j][size] = 1;
+                size_order[j][n_sizes[j]++] = size;
+                sums[j][size] = 0.0 + p;
+            }
+        }
+    }
+
+    for (j = 0; j < n_members; j++) {
+        double total = 0.0;
+        for (k = 0; k < n_sizes[j]; k++)
+            if (size_order[j][k] <= max_streams)
+                total = total + sums[j][size_order[j][k]];
+        out[j] = total;
+    }
+    return n_members;
+}
 """
 
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
@@ -260,8 +418,9 @@ def _build(path: str) -> Optional[str]:
 
 def _fall_back(reason: str) -> None:
     warnings.warn(
-        f"greedy scheduling kernel unavailable ({reason}); using the "
-        "pure-Python scan (same results, slower)",
+        f"compiled scheduling kernels (greedy_fill, joint_service) "
+        f"unavailable ({reason}); using the pure-Python greedy scan and "
+        "joint-service walk (same results, slower)",
         RuntimeWarning,
         stacklevel=4,
     )
@@ -297,6 +456,16 @@ def _load() -> Optional[ctypes.CDLL]:
         ctypes.c_void_p,  # out_members
         ctypes.c_void_p,  # out_utils
     ]
+    service = lib.joint_service
+    service.restype = ctypes.c_int64
+    service.argtypes = [
+        ctypes.c_void_p,  # term_masks
+        ctypes.c_void_p,  # idle
+        ctypes.c_int64,  # n_terms
+        ctypes.c_uint64,  # mask
+        ctypes.c_int64,  # max_streams
+        ctypes.c_void_p,  # out
+    ]
     return lib
 
 
@@ -312,5 +481,5 @@ def kernel() -> Optional[ctypes.CDLL]:
 
 
 def kernel_available() -> bool:
-    """Whether the compiled greedy kernel can be used on this machine."""
+    """Whether the compiled kernels can be used on this machine."""
     return kernel() is not None

@@ -64,11 +64,11 @@ _UTILITY_BUCKETS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 class _JointTensorScorer(StepScorer):
     """Eqn. 4 step scorer over the provider's bitmask joint tables.
 
-    Keeps the committed group's bitmask and attached-terminal state along
-    one RB's greedy path; each candidate valuation asks the tables for the
-    extended group's service map (one int-keyed dict hit once the group
-    recurs) and accumulates ``service · weight`` in committed-group order —
-    the identical float sequence :meth:`expected_group_utility` produces.
+    Keeps the committed group's bitmask along one RB's greedy path; each
+    candidate valuation asks the tables for the extended group's service
+    map (one int-keyed dict hit once the group recurs) and accumulates
+    ``service · weight`` in committed-group order — the identical float
+    sequence :meth:`expected_group_utility` produces.
     """
 
     __slots__ = (
@@ -76,7 +76,6 @@ class _JointTensorScorer(StepScorer):
         "_table",
         "_max_streams",
         "_mask",
-        "_attached",
         "_members",
     )
 
@@ -85,12 +84,10 @@ class _JointTensorScorer(StepScorer):
         self._table = table
         self._max_streams = max_streams
         self._mask = 0
-        self._attached: tuple = ()
         self._members: List[int] = []
 
     def start_rb(self, rb: int) -> None:
         self._mask = 0
-        self._attached = ()
         self._members = []
 
     def step_values(
@@ -103,13 +100,10 @@ class _JointTensorScorer(StepScorer):
         )
         service_for = self._tables.service
         mask = self._mask
-        attached = self._attached
         members = self._members
         values = []
         for candidate in candidates:
-            service = service_for(
-                mask | (1 << candidate), max_streams, attached, candidate
-            )
+            service = service_for(mask | (1 << candidate), max_streams)
             total = 0.0
             for ue in members:
                 probability = service[ue]
@@ -123,7 +117,6 @@ class _JointTensorScorer(StepScorer):
 
     def commit(self, ue: int) -> None:
         self._mask |= 1 << ue
-        self._attached = self._tables.extend_attached(self._attached, ue)
         self._members.append(ue)
 
     def value(self, rb: int, group: Sequence[int]) -> float:

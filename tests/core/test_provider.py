@@ -10,7 +10,10 @@ from repro.core.joint.provider import (
     JointAccessProvider,
     TopologyJointProvider,
 )
+from repro.core.scheduling._kernel import KERNEL_MAX_MEMBERS
 from repro.errors import TopologyError
+from repro.lte.pilots import MAX_ORTHOGONAL_PILOTS
+from repro.topology.graph import InterferenceTopology
 from repro.topology.scenarios import testbed_topology as make_testbed_topology
 
 
@@ -156,7 +159,46 @@ class TestProviderCachesAndChurn:
                 )
                 assert set(fast) == set(slow)
                 for ue in slow:
-                    assert fast[ue] == pytest.approx(slow[ue], abs=1e-12)
+                    assert fast[ue] == slow[ue]
+
+    @pytest.mark.parametrize(
+        "num_ues, group",
+        [
+            (70, frozenset({1, 64, 69})),  # a UE id beyond a 64-bit mask
+            (12, frozenset(range(9))),  # more members than the kernel holds
+        ],
+    )
+    def test_groups_beyond_the_kernel_take_the_python_walk(
+        self, num_ues, group
+    ):
+        footprints = [{1, 64, 5}, {0, 2, 69}, {0, 3, 6, 9}, {1, 64, 5}, {10, 11}]
+        topology = InterferenceTopology.build(
+            num_ues,
+            [
+                (q, {ue for ue in footprint if ue < num_ues})
+                for q, footprint in zip((0.3, 0.5, 0.2, 0.4, 0.6), footprints)
+            ],
+        )
+        provider = TopologyJointProvider(topology)
+        tables = provider.fast_tables()
+        walks = []
+        walk = tables._walk
+
+        def spy(mask, max_streams):
+            walks.append(mask)
+            return walk(mask, max_streams)
+
+        tables._walk = spy
+        for max_streams in (1, 2, 8):
+            service = provider.decodable_service(group, max_streams)
+            reference = JointAccessProvider.decodable_service(
+                provider, group, max_streams
+            )
+            assert list(service.items()) == sorted(reference.items())
+        assert len(walks) == 3
+
+    def test_kernel_holds_a_full_scheduler_group(self):
+        assert KERNEL_MAX_MEMBERS == MAX_ORTHOGONAL_PILOTS
 
     def test_service_vector_matches_decodable_service(self, testbed8):
         provider = TopologyJointProvider(testbed8)
