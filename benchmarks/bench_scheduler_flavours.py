@@ -7,7 +7,8 @@ The schedulers keep three flavours that must emit identical schedules
 * pure-Python vectorized — ``vectorized=True`` with
   ``REPRO_DISABLE_KERNEL=1``;
 * kernel — ``vectorized=True`` with the compiled kernels: the greedy
-  fill for PF, the joint-service cache misses for speculative BLU.
+  fill for PF; for speculative BLU the whole greedy walk, over the
+  compiled service table.
 
 This script runs one seeded cell per shape, records the context of every
 ``schedule()`` call, then replays those contexts through a fresh

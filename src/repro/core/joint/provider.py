@@ -19,8 +19,9 @@ Two implementations:
   terminals and in the number of *realizable* patterns, so group sizes up to
   ``2M`` are cheap.  Results are memoized: the scheduler re-queries the same
   groups every TxOP while only rates change.  The scheduler's service
-  queries go through int-bitmask tables whose cache misses run in the
-  compiled ``joint_service`` kernel when one is available.
+  queries go through int-bitmask tables; when the compiled kernel library
+  is available they live in a C-side hash table that the compiled
+  speculative walk reads directly, and misses run in compiled code.
 * :class:`EmpiricalJointProvider` — counts patterns in a recorded clear/
   blocked matrix, the "directly from the traces" mode of Fig. 15.
 """
@@ -45,6 +46,8 @@ PatternDistribution = Dict[FrozenSet[int], float]
 PatternTable = Dict[Tuple[int, int], float]
 
 _U64 = (1 << 64) - 1
+#: Entries of a fresh compiled table (it doubles as it fills).
+_TABLE_INITIAL_CAPACITY = 256
 
 
 def _members(mask: int) -> List[int]:
@@ -132,15 +135,29 @@ class JointAccessProvider:
 class _FastJointTables:
     """Int-bitmask mirror of one topology's pattern machinery.
 
-    The scheduler's vectorized flavour queries service probabilities per
-    candidate group at every greedy step; this class answers those queries
-    with integer bitmask keys (cheap hashing, cheap set algebra) and
-    memoizes each group's answer forever.  A cache miss runs the compiled
-    ``joint_service`` kernel (``core/scheduling/_kernel.py``) when it is
-    loaded and the group fits it (UE ids below 64, at most
-    ``MAX_ORTHOGONAL_PILOTS`` members — the scheduler's group cap);
-    otherwise the Python walk in :meth:`_walk`.  Either costs one pass
-    over the topology's terminals plus the group's realizable patterns.
+    The speculative scheduler queries service probabilities per candidate
+    group at every greedy step; this class answers those queries with
+    integer bitmask keys ``(group mask, M)`` and memoizes each group's
+    answer forever, in one of two caches:
+
+    * **the compiled service table** — when the kernel library is loaded,
+      every key it can hold (UE ids below 64, at most
+      ``KERNEL_MAX_MEMBERS`` members — the scheduler's group cap, ``M``
+      non-negative) lives in an open-addressing table whose buffers are
+      numpy arrays owned here (``joint_lookup`` in
+      ``core/scheduling/_kernel.py``).  The compiled speculative walk
+      (``speculative_fill``) reads and fills it directly; :meth:`service`
+      reads the same entries, so a key is never held twice.  A miss runs
+      the compiled ``joint_service`` straight into the entry.  Before a
+      caller may insert, :meth:`reserve` grows the buffers (doubling, via
+      ``joint_rehash``) to keep the load at or below one half.
+    * **a dict** of ``{ue: probability}`` maps — keys the table refuses,
+      and every key on machines without the kernel; misses run the Python
+      walk in :meth:`_walk`.
+
+    ``hits``, ``misses`` and :meth:`cache_size` sum both caches.  Either
+    miss path costs one pass over the topology's terminals plus the
+    group's realizable patterns.
 
     Bit-exactness: the reference implementation's floats depend on dict
     insertion orders (footprints first seen in terminal order; blocked
@@ -157,7 +174,11 @@ class _FastJointTables:
 
     def __init__(self, topology: InterferenceTopology) -> None:
         # Imported here: the scheduling package imports this module.
-        from repro.core.scheduling._kernel import KERNEL_MAX_MEMBERS, kernel
+        from repro.core.scheduling._kernel import (
+            KERNEL_MAX_MEMBERS,
+            TABLE_FULL,
+            kernel,
+        )
 
         self.idle = tuple(1.0 - q for q in topology.q)
         term_masks = []
@@ -168,31 +189,87 @@ class _FastJointTables:
             term_masks.append(mask)
         self.term_masks = tuple(term_masks)
         #: (group mask, max streams) -> {ue: decodable-service probability}
+        #: for the keys the compiled table does not hold.
         self._service: Dict[Tuple[int, int], Dict[int, float]] = {}
-        #: Service-cache traffic, rolled into the owning provider's
-        #: ``cache_hits``/``cache_misses`` (the greedy fast path queries
-        #: these tables directly, so counting here is what keeps the obs
-        #: counters honest about the hot path).
-        self.hits = 0
-        self.misses = 0
+        self._dict_hits = 0
+        self._dict_misses = 0
+        #: Service probabilities per compiled-table entry.
+        self._width = KERNEL_MAX_MEMBERS
+        self._table_full = TABLE_FULL
+        #: {capacity, hits, misses, size}, written by the kernel (all zero
+        #: without it).
+        self._meta = np.zeros(4, dtype=np.int64)
         lib = kernel()
-        self._kernel = None if lib is None else lib.joint_service
-        self._kernel_max_members = KERNEL_MAX_MEMBERS
+        #: The compiled table's lookup (``None`` without the kernel).
+        self._kernel = None if lib is None else lib.joint_lookup
+        #: Address of the compiled table's ``ServiceTable`` descriptor,
+        #: which every kernel call takes (``None`` without the kernel).
+        self.table_ptr: Optional[int] = None
         if lib is not None:
-            # Masks cut to 64 bits: a kernel-eligible group lies below
+            self._rehash = lib.joint_rehash
+            # Masks cut to 64 bits: a table-eligible group lies below
             # bit 64, so ``term & group`` is unchanged by the cut.
             masks = np.array([m & _U64 for m in term_masks], dtype=np.uint64)
             idle = np.array(self.idle, dtype=np.float64)
-            self._kernel_arrays = (masks, idle)  # alive while C reads them
-            self._kernel_args = (
-                masks.ctypes.data,
-                idle.ctypes.data,
-                len(term_masks),
-            )
-            self._kernel_out = (ctypes.c_double * KERNEL_MAX_MEMBERS)()
+            self._topology_arrays = (masks, idle)  # alive while C reads them
+            self._allocate(_TABLE_INITIAL_CAPACITY)
+
+    def _allocate(self, capacity: int) -> None:
+        """Point the table at fresh, empty buffers of ``capacity`` entries."""
+        from repro.core.scheduling._kernel import ServiceTable
+
+        self._keys_mask = np.zeros(capacity, dtype=np.uint64)
+        self._keys_m = np.full(capacity, -1, dtype=np.int64)
+        self._values = np.zeros((capacity, self._width), dtype=np.float64)
+        self._meta[0] = capacity
+        masks, idle = self._topology_arrays
+        self._table = ServiceTable(
+            masks.ctypes.data,
+            idle.ctypes.data,
+            len(masks),
+            self._keys_mask.ctypes.data,
+            self._keys_m.ctypes.data,
+            self._values.ctypes.data,
+            self._meta.ctypes.data,
+        )
+        self.table_ptr = ctypes.addressof(self._table)
+
+    def reserve(self, inserts: int) -> None:
+        """Grow the compiled table so ``inserts`` more keys keep its load
+        at or below one half (no-op without the kernel)."""
+        if self._kernel is None:
+            return
+        meta = self._meta
+        capacity = int(meta[0])
+        needed = 2 * (int(meta[3]) + inserts)
+        if needed <= capacity:
+            return
+        while capacity < needed:
+            capacity *= 2
+        # ``old`` keeps the previous buffers alive until they are copied.
+        old = (self._table, self._keys_mask, self._keys_m, self._values)
+        self._allocate(capacity)
+        moved = self._rehash(
+            ctypes.addressof(old[0]), old[2].shape[0], self.table_ptr, capacity
+        )
+        if moved != int(meta[3]):
+            raise RuntimeError("joint_rehash lost service-table entries")
+
+    @property
+    def hits(self) -> int:
+        """Service-cache hits across both caches.  Rolled into the owning
+        provider's ``cache_hits`` (the greedy walk queries these tables
+        directly, so counting here is what keeps the obs counters honest
+        about the hot path)."""
+        return self._dict_hits + int(self._meta[1])
+
+    @property
+    def misses(self) -> int:
+        """Service-cache misses across both caches (see :attr:`hits`)."""
+        return self._dict_misses + int(self._meta[2])
 
     def cache_size(self) -> int:
-        return len(self._service)
+        return len(self._service) + int(self._meta[3])
 
     def service(self, mask: int, max_streams: int) -> Dict[int, float]:
         """Decodable-service probabilities for the group ``mask``.
@@ -200,26 +277,30 @@ class _FastJointTables:
         Returns ``{ue: Σ_{s≤M} π[(ue, s)]}`` in ascending UE order, with
         floats bit-identical to the frozenset-keyed reference.
         """
+        lookup = self._kernel
+        if (
+            lookup is not None
+            and mask <= _U64
+            and max_streams >= 0
+            and mask.bit_count() <= self._width
+        ):
+            entry = lookup(self.table_ptr, mask, max_streams)
+            if entry == self._table_full:
+                self.reserve(1)
+                entry = lookup(self.table_ptr, mask, max_streams)
+            if entry < 0:
+                raise RuntimeError(f"joint_lookup rejected group {mask:#x}")
+            members = _members(mask)
+            return dict(
+                zip(members, self._values[entry, : len(members)].tolist())
+            )
         key = (mask, max_streams)
         cached = self._service.get(key)
         if cached is not None:
-            self.hits += 1
+            self._dict_hits += 1
             return cached
-        self.misses += 1
-        joint = self._kernel
-        if (
-            joint is not None
-            and mask <= _U64
-            and mask.bit_count() <= self._kernel_max_members
-        ):
-            out = self._kernel_out
-            members = _members(mask)
-            count = joint(*self._kernel_args, mask, max_streams, out)
-            if count != len(members):
-                raise RuntimeError(f"joint_service rejected group {mask:#x}")
-            service = dict(zip(members, out[:count]))
-        else:
-            service = self._walk(mask, max_streams)
+        self._dict_misses += 1
+        service = self._walk(mask, max_streams)
         self._service[key] = service
         return service
 

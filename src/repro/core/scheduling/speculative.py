@@ -26,11 +26,15 @@ the paper observes diminishing returns past ``[M, 2M]``.
 Eqn. 4 factors into a blueprint-dependent part (the service probabilities,
 fixed while the blueprint is fixed) and a rate-dependent part (the PF
 weights, fresh every burst).  The vectorized flavour exploits exactly that
-split: service-probability vectors are cached per group on the provider,
-PF-weight columns are batched once per burst, and each greedy step prices
-all candidates through a :class:`~repro.core.scheduling.base.StepScorer`
-whose per-candidate accumulation replays the scalar reference's operation
-order — selections stay bit-identical.
+split: service probabilities are memoized per group on the provider's
+bitmask tables, PF-weight columns are batched once per burst, and every
+candidate's value replays the scalar reference's operation order, so
+selections stay bit-identical.  With the compiled kernel loaded (and UE
+ids below 64) the whole burst is one ``speculative_fill`` walk over the
+weight slab and the provider's compiled service table, bypassing the
+:class:`~repro.core.scheduling.base.StepScorer` entirely; otherwise each
+greedy step prices its candidates through ``_JointTensorScorer`` (or
+``_ServiceMapScorer`` for providers without bitmask tables).
 """
 
 from __future__ import annotations
@@ -38,13 +42,18 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.joint.provider import (
     JointAccessProvider,
     TopologyJointProvider,
 )
+from repro.core.scheduling._kernel import KERNEL_MAX_SERVICE_SLOTS, kernel
 from repro.core.scheduling.base import (
     StepScorer,
     UplinkScheduler,
+    _emit_kernel_grants,
+    _scratch,
     build_schedule,
     build_schedule_fast,
 )
@@ -137,6 +146,84 @@ class _JointTensorScorer(StepScorer):
             if probability > 0.0:
                 total += probability * weights[ue]
         return total
+
+
+def _schedule_kernel(
+    context: SchedulingContext,
+    table: BurstTable,
+    size_cap: int,
+    max_streams: int,
+    tables,
+    rb_utilities: Optional[Dict[int, float]],
+    lib,
+) -> SubframeSchedule:
+    """One burst through the compiled ``speculative_fill`` walk.
+
+    The kernel runs :func:`build_schedule_fast`'s walk with
+    ``_JointTensorScorer``'s valuation over the unboxed weight slab (one
+    call per computed RB window) and the provider's compiled service
+    table, so groups, admission, grants, utilities and the table's
+    hit/miss counts equal the scorer path's.  The table is grown once up
+    front for the burst's worst case — every candidate of every greedy
+    step a new key, plus one trimmed group per RB — so no call can run
+    out of room half-way.
+    """
+    num_rbs = context.num_rbs
+    schedule = SubframeSchedule.empty(num_rbs)
+    candidates = sorted(set(context.ue_ids))
+    if not candidates:
+        return schedule
+    n_slots = table.num_slots
+    cand = np.asarray(candidates, dtype=np.int64)
+    scratch = _scratch(num_rbs, size_cap, n_slots)
+    out_sizes, out_members, out_utils = scratch[1:4]
+    flags_ptr, sizes_ptr, members_ptr, utils_ptr = scratch[4:]
+    tables.reserve(num_rbs * (size_cap * len(candidates) + 1))
+    table_ptr = tables.table_ptr
+    fill = lib.speculative_fill
+    want_utils = rb_utilities is not None
+    max_new = context.max_distinct_ues
+    rb = 0
+    while rb < num_rbs:
+        end = table.ensure_window(rb)
+        slab = table.weights_tensor
+        max_new = fill(
+            slab.ctypes.data,
+            n_slots,
+            slab.shape[2],
+            rb,
+            end,
+            size_cap,
+            max_streams,
+            cand.ctypes.data,
+            cand.shape[0],
+            flags_ptr,
+            max_new,
+            sizes_ptr,
+            members_ptr,
+            utils_ptr,
+            want_utils,
+            table_ptr,
+        )
+        if max_new < 0:
+            raise SchedulingError(
+                f"speculative kernel rejected its inputs ({max_new})"
+            )
+        _emit_kernel_grants(
+            schedule.rb_schedules,
+            context.num_antennas,
+            rb,
+            end,
+            0,
+            out_sizes,
+            out_members,
+            out_utils,
+            table.rates_tensor,
+            None,
+            rb_utilities,
+        )
+        rb = end
+    return schedule
 
 
 class _ServiceMapScorer(StepScorer):
@@ -295,19 +382,36 @@ class SpeculativeScheduler(UplinkScheduler):
         max_streams = min(context.num_antennas, MAX_ORTHOGONAL_PILOTS)
         table = BurstTable(context, max_streams)
         provider = self.provider
+        scorer: Optional[StepScorer] = None
         if isinstance(provider, TopologyJointProvider):
-            scorer: StepScorer = _JointTensorScorer(
-                provider.fast_tables(), table, max_streams
-            )
+            tables = provider.fast_tables()
+            lib = kernel()
+            if (
+                lib is not None
+                and tables.table_ptr is not None
+                and table.num_slots <= KERNEL_MAX_SERVICE_SLOTS
+            ):
+                schedule = _schedule_kernel(
+                    context,
+                    table,
+                    min(max_group, MAX_ORTHOGONAL_PILOTS),
+                    max_streams,
+                    tables,
+                    rb_utilities,
+                    lib,
+                )
+            else:
+                scorer = _JointTensorScorer(tables, table, max_streams)
         else:
             scorer = _ServiceMapScorer(provider, table, max_streams)
-        schedule = build_schedule_fast(
-            context,
-            max_group_size=max_group,
-            table=table,
-            scorer=scorer,
-            rb_utilities=rb_utilities,
-        )
+        if scorer is not None:
+            schedule = build_schedule_fast(
+                context,
+                max_group_size=max_group,
+                table=table,
+                scorer=scorer,
+                rb_utilities=rb_utilities,
+            )
         self.fast_path_schedules += 1
         return schedule
 

@@ -187,6 +187,9 @@ class DriftMonitor:
         self.kind = detector
         self._threshold = float(threshold)
         self._min_samples = int(min_samples)
+        #: The detectors' drift allowance (Page–Hinkley ``delta``, CUSUM
+        #: ``k``), as each detector stores it.
+        self._slack = float(delta)
         self._kwargs = dict(min_samples=min_samples, threshold=threshold)
         if detector == "page-hinkley":
             self._kwargs["delta"] = delta
@@ -204,30 +207,94 @@ class DriftMonitor:
     def update(
         self, scheduled: Iterable[int], accessed: Iterable[int]
     ) -> FrozenSet[int]:
-        """One subframe of evidence; returns the clients flagged drifted."""
+        """One subframe of evidence; returns the clients flagged drifted.
+
+        Runs every stream's detector recurrence inline — the per-client
+        streams, then the per-pair ones, in one loop — over the detectors'
+        own state, performing exactly the float operations of their
+        :meth:`~PageHinkleyDetector.update` (the single-stream API, and
+        the oracle the tests hold this loop to) in the same order.  A
+        method call per stream would cost more than its arithmetic.
+        """
         scheduled_set = sorted(set(scheduled))
         accessed_set = set(accessed)
-        drifted: Set[int] = set()
-        for ue in scheduled_set:
-            if self._ue[ue].update(1.0 if ue in accessed_set else 0.0):
-                drifted.add(ue)
+        ue_detectors = self._ue
+        # (detector, sample, clients flagged when it fires)
+        streams = [
+            (ue_detectors[ue], 1.0 if ue in accessed_set else 0.0, (ue,))
+            for ue in scheduled_set
+        ]
         if self.track_pairs:
+            pair_detectors = self._pair
             for pair in combinations(scheduled_set, 2):
-                detector = self._pair.get(pair)
+                detector = pair_detectors.get(pair)
                 if detector is None:
                     detector = _make_detector(self.kind, **self._kwargs)
-                    self._pair[pair] = detector
+                    pair_detectors[pair] = detector
                 both = pair[0] in accessed_set and pair[1] in accessed_set
-                if detector.update(1.0 if both else 0.0):
-                    drifted.update(pair)
+                streams.append((detector, 1.0 if both else 0.0, pair))
+        min_samples = self._min_samples
+        threshold = self._threshold
+        slack = self._slack
+        drifted: Set[int] = set()
+        # Each ``max``/``min`` of the single-stream form is written as the
+        # compare it performs (it keeps its first argument unless the
+        # second is strictly greater/smaller), so ties and signed zeros
+        # resolve identically.
+        if self.kind == "page-hinkley":
+            for detector, x, clients in streams:
+                n = detector._n + 1
+                mean = detector._mean
+                mean += (x - mean) / n
+                low = detector._low + ((x - mean) + slack)
+                low_max = detector._low_max
+                if low > low_max:
+                    low_max = low
+                high = detector._high + ((x - mean) - slack)
+                high_min = detector._high_min
+                if high < high_min:
+                    high_min = high
+                detector._n = n
+                detector._mean = mean
+                detector._low = low
+                detector._low_max = low_max
+                detector._high = high
+                detector._high_min = high_min
+                if n >= min_samples:
+                    falling = low_max - low
+                    rising = high - high_min
+                    if (rising if rising > falling else falling) > threshold:
+                        drifted.update(clients)
+        else:
+            for detector, x, clients in streams:
+                n = detector._n + 1
+                mean = detector._mean
+                mean += (x - mean) / n
+                pos = ((detector._pos + x) - mean) - slack
+                if not pos > 0.0:
+                    pos = 0.0
+                neg = ((detector._neg - x) + mean) - slack
+                if not neg > 0.0:
+                    neg = 0.0
+                detector._n = n
+                detector._mean = mean
+                detector._pos = pos
+                detector._neg = neg
+                if n >= min_samples and (neg if neg > pos else pos) > threshold:
+                    drifted.update(clients)
         if drifted:
-            bar = self.co_flag_fraction * self._threshold
-            for ue, detector in self._ue.items():
-                if (
-                    ue not in drifted
-                    and detector.samples >= self._min_samples
-                    and detector.statistic > bar
-                ):
+            bar = self.co_flag_fraction * threshold
+            page_hinkley = self.kind == "page-hinkley"
+            for ue, detector in ue_detectors.items():
+                if ue in drifted or detector._n < min_samples:
+                    continue
+                if page_hinkley:
+                    falling = detector._low_max - detector._low
+                    rising = detector._high - detector._high_min
+                else:
+                    falling = detector._pos
+                    rising = detector._neg
+                if (rising if rising > falling else falling) > bar:
                     drifted.add(ue)
         return frozenset(drifted)
 

@@ -5,12 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.joint import provider as provider_module
 from repro.core.joint.provider import (
     EmpiricalJointProvider,
     JointAccessProvider,
     TopologyJointProvider,
 )
-from repro.core.scheduling._kernel import KERNEL_MAX_MEMBERS
+from repro.core.scheduling import speculative
+from repro.core.scheduling._kernel import KERNEL_MAX_MEMBERS, kernel_available
+from repro.core.scheduling.speculative import SpeculativeScheduler
+from repro.core.scheduling.types import SchedulingContext
 from repro.errors import TopologyError
 from repro.lte.pilots import MAX_ORTHOGONAL_PILOTS
 from repro.topology.graph import InterferenceTopology
@@ -208,6 +212,152 @@ class TestProviderCachesAndChurn:
         assert vector.shape == (len(group),)
         for j, ue in enumerate(group):
             assert vector[j] == service[ue]
+
+
+class TestServiceTables:
+    """The two service caches behind ``decodable_service``: the compiled
+    open-addressing table (kernel-eligible keys) and the dict (the rest)."""
+
+    @staticmethod
+    def topology(num_ues=10):
+        footprints = [{0, 1}, {1, 2, 3}, {4}, {0, 5, 6}, {7, 8}, {2, 9}, {3, 6}]
+        return InterferenceTopology.build(
+            num_ues,
+            [
+                (0.15 + 0.1 * index, {ue for ue in footprint if ue < num_ues})
+                for index, footprint in enumerate(footprints)
+            ],
+        )
+
+    def test_growth_keeps_every_entry_bit_identical(self, monkeypatch):
+        if not kernel_available():
+            pytest.skip("needs the compiled service table")
+        monkeypatch.setattr(provider_module, "_TABLE_INITIAL_CAPACITY", 4)
+        provider = TopologyJointProvider(self.topology())
+        tables = provider.fast_tables()
+        groups = [
+            frozenset(group)
+            for size in (1, 2, 3)
+            for group in itertools.combinations(range(10), size)
+        ][::3]
+        keys = [(group, m) for group in groups for m in (1, 2)][:80]
+        references = {}
+        capacities = []
+        for index, (group, m) in enumerate(keys):
+            references[group, m] = sorted(
+                JointAccessProvider.decodable_service(provider, group, m).items()
+            )
+            provider.decodable_service(group, m)
+            capacities.append(tables._keys_m.shape[0])
+            # Every entry so far, across every growth, reads back exactly.
+            for earlier, earlier_m in keys[: index + 1]:
+                mask = sum(1 << ue for ue in earlier)
+                service = list(tables.service(mask, earlier_m).items())
+                assert service == references[earlier, earlier_m]
+                assert service == list(tables._walk(mask, earlier_m).items())
+        assert capacities[0] == 4 and capacities[-1] >= 4 * 2**3
+        assert sorted(set(capacities)) == [4 * 2**k for k in range(len(set(capacities)))]
+        assert tables.cache_size() == len(keys)
+        assert tables.misses == len(keys)
+        assert not tables._service  # no eligible key fell into the dict
+
+    @pytest.mark.parametrize(
+        "num_ues, group",
+        [
+            (71, frozenset({1, 64, 70})),  # a UE id beyond a 64-bit mask
+            (12, frozenset(range(9))),  # more members than an entry holds
+        ],
+    )
+    def test_ineligible_keys_use_the_dict_and_count_once(self, num_ues, group):
+        provider = TopologyJointProvider(self.topology(num_ues))
+        tables = provider.fast_tables()
+        provider.decodable_service(frozenset({0, 1}), 2)  # an eligible key
+        before = (tables.hits, tables.misses, tables.cache_size())
+        first = provider.decodable_service(group, 2)
+        assert (tables.hits, tables.misses, tables.cache_size()) == (
+            before[0],
+            before[1] + 1,
+            before[2] + 1,
+        )
+        key = (sum(1 << ue for ue in group), 2)
+        assert list(tables._service)[-1] == key
+        if kernel_available():
+            assert list(tables._service) == [key]
+        assert provider.decodable_service(group, 2) is first
+        assert (tables.hits, tables.misses, tables.cache_size()) == (
+            before[0] + 1,
+            before[1] + 1,
+            before[2] + 1,
+        )
+        reference = JointAccessProvider.decodable_service(provider, group, 2)
+        assert list(first.items()) == sorted(reference.items())
+
+    def test_counters_stay_monotonic_across_a_topology_swap(self):
+        topology = self.topology()
+        provider = TopologyJointProvider(topology)
+        groups = [frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({4, 9})]
+        seen = []
+        for step in range(3):
+            for group in groups + groups:
+                provider.decodable_service(group, 2)
+                seen.append((provider.cache_hits, provider.cache_misses))
+            if step < 2:
+                topology = topology.with_terminal(0.5, [step, step + 1])
+                provider.topology = topology
+        for (hits, misses), (later_hits, later_misses) in zip(seen, seen[1:]):
+            assert later_hits >= hits and later_misses >= misses
+        # Each topology paid its own misses: 3 per topology, 3 hits each.
+        assert seen[-1] == (9, 9)
+        assert provider.cache_size() == 3
+
+    def test_ue_ids_from_64_take_the_step_scorer(self, monkeypatch):
+        topology = InterferenceTopology.build(
+            66, [(0.4, {0, 64}), (0.3, {1, 65}), (0.5, {2, 64, 65}), (0.2, {3})]
+        )
+        ue_ids = (0, 1, 2, 3, 64, 65)
+        rng = np.random.default_rng(5)
+
+        def context(vectorized):
+            return SchedulingContext(
+                subframe=0,
+                num_rbs=4,
+                num_antennas=2,
+                ue_ids=ue_ids,
+                sinr_db={ue: rng_sinr[ue] for ue in ue_ids},
+                avg_throughput_bps={ue: 1e5 * (1 + ue % 5) for ue in ue_ids},
+                max_distinct_ues=5,
+                vectorized=vectorized,
+            )
+
+        rng_sinr = {ue: rng.uniform(0.0, 30.0, size=4) for ue in ue_ids}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("UE ids >= 64 must not reach the kernel walk")
+
+        monkeypatch.setattr(speculative, "_schedule_kernel", refuse)
+        scored = []
+        step_values = speculative._JointTensorScorer.step_values
+
+        def spy(self, rb, group, candidates):
+            scored.append(rb)
+            return step_values(self, rb, group, candidates)
+
+        monkeypatch.setattr(
+            speculative._JointTensorScorer, "step_values", spy
+        )
+        fast = SpeculativeScheduler(TopologyJointProvider(topology)).schedule(
+            context(vectorized=True)
+        )
+        scalar = SpeculativeScheduler(
+            TopologyJointProvider(topology)
+        ).schedule(context(vectorized=False))
+        assert scored
+        assert fast == scalar
+        granted = {
+            grant.ue_id for rb in fast.allocated_rbs() for grant in fast.rb(rb)
+        }
+        assert granted & {64, 65}
+
 
 
 class TestEmpiricalJointProvider:

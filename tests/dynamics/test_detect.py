@@ -193,3 +193,108 @@ class TestDriftMonitor:
                 break
         assert flagged  # detected, and both endpoints re-measured
         assert flagged == {0, 1}
+
+
+class _PerStreamMonitor:
+    """The drift monitor written with one detector ``update`` call per
+    stream — the oracle the inlined :meth:`DriftMonitor.update` loop must
+    match flag for flag and state for state."""
+
+    def __init__(self, num_ues, detector, delta, threshold, min_samples,
+                 track_pairs, co_flag_fraction):
+        if detector == "page-hinkley":
+            self.make = lambda: PageHinkleyDetector(
+                delta=delta, threshold=threshold, min_samples=min_samples
+            )
+        else:
+            self.make = lambda: CusumDetector(
+                k=delta, threshold=threshold, min_samples=min_samples
+            )
+        self.min_samples = min_samples
+        self.bar = co_flag_fraction * threshold
+        self.track_pairs = track_pairs
+        self.ue = {ue: self.make() for ue in range(num_ues)}
+        self.pair = {}
+
+    def update(self, scheduled, accessed):
+        scheduled = sorted(set(scheduled))
+        accessed = set(accessed)
+        drifted = set()
+        for ue in scheduled:
+            if self.ue[ue].update(1.0 if ue in accessed else 0.0):
+                drifted.add(ue)
+        if self.track_pairs:
+            for index, first in enumerate(scheduled):
+                for second in scheduled[index + 1:]:
+                    pair = (first, second)
+                    detector = self.pair.get(pair)
+                    if detector is None:
+                        detector = self.pair[pair] = self.make()
+                    both = first in accessed and second in accessed
+                    if detector.update(1.0 if both else 0.0):
+                        drifted.update(pair)
+        if drifted:
+            for ue, detector in self.ue.items():
+                if (
+                    ue not in drifted
+                    and detector.samples >= self.min_samples
+                    and detector.statistic > self.bar
+                ):
+                    drifted.add(ue)
+        return frozenset(drifted)
+
+    def reset(self, ues=None):
+        if ues is None:
+            for detector in self.ue.values():
+                detector.reset()
+            self.pair.clear()
+            return
+        for ue in ues:
+            self.ue[ue].reset()
+        for pair in list(self.pair):
+            if set(ues) & set(pair):
+                del self.pair[pair]
+
+
+@pytest.mark.parametrize("track_pairs", [True, False])
+@pytest.mark.parametrize("kind", ["page-hinkley", "cusum"])
+def test_inlined_monitor_matches_per_stream_detectors(kind, track_pairs):
+    """Random schedules and access outcomes whose rates shift mid-run,
+    with partial and full resets: every subframe's flagged set and every
+    detector's state equal the per-stream oracle's (floats with ``==``)."""
+    rng = np.random.default_rng(7 if kind == "cusum" else 11)
+    num_ues = 7
+    settings = dict(
+        delta=0.05, threshold=4.0, min_samples=12, co_flag_fraction=0.5
+    )
+    monitor = DriftMonitor(
+        num_ues, detector=kind, track_pairs=track_pairs, **settings
+    )
+    oracle = _PerStreamMonitor(
+        num_ues, kind, track_pairs=track_pairs, **settings
+    )
+    block = rng.uniform(0.05, 0.4, size=num_ues)
+    fired = resets = 0
+    for subframe in range(1500):
+        if subframe % 300 == 150:
+            block = rng.uniform(0.0, 0.9, size=num_ues)
+        scheduled = rng.choice(
+            num_ues, size=rng.integers(0, num_ues + 1), replace=False
+        ).tolist()
+        accessed = [ue for ue in scheduled if rng.random() >= block[ue]]
+        flagged = monitor.update(scheduled, accessed)
+        assert flagged == oracle.update(scheduled, accessed)
+        if flagged:
+            fired += 1
+            monitor.reset(flagged)
+            oracle.reset(flagged)
+        elif subframe % 400 == 399:
+            resets += 1
+            monitor.reset()
+            oracle.reset()
+        for ue in range(num_ues):
+            assert vars(monitor._ue[ue]) == vars(oracle.ue[ue])
+        assert list(monitor._pair) == list(oracle.pair)
+        for pair, detector in monitor._pair.items():
+            assert vars(detector) == vars(oracle.pair[pair])
+    assert fired >= 3 and resets >= 1

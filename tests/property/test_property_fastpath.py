@@ -11,6 +11,8 @@ to emit equal :class:`SubframeSchedule` objects (grant-for-grant, rate
 bits included)."""
 
 import os
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from repro.core.scheduling.oracle import OracleScheduler
 from repro.core.scheduling.pf import ProportionalFairScheduler
 from repro.core.scheduling.speculative import SpeculativeScheduler
 from repro.core.scheduling.types import SchedulingContext
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.topology.graph import InterferenceTopology
 
 
@@ -168,6 +171,131 @@ def test_exact_tie_breaks_toward_lowest_id():
                     f"{name}: tie did not break toward the lowest id on "
                     f"RB {rb}: {granted}"
                 )
+
+
+@st.composite
+def burst_sequences(draw):
+    """Several bursts of one cell on one provider, with a small distinct-
+    client budget (so the K-budget trims groups and saturates), an
+    optional topology swap half-way (dynamics churn), and with or without
+    an active obs registry (a trimmed group's utility, and its service
+    lookup, happen only with one)."""
+    num_ues = draw(st.integers(min_value=2, max_value=12))
+    ues = st.integers(min_value=0, max_value=num_ues - 1)
+    terminals = [
+        (
+            draw(st.floats(min_value=0.05, max_value=0.9)),
+            draw(st.sets(ues, min_size=1, max_size=4)),
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=6)))
+    ]
+    num_rbs = draw(st.integers(min_value=1, max_value=8))
+    num_antennas = draw(st.sampled_from([1, 2, 4]))
+    # Channels from a drawn seed: generic floats, so that reassociating a
+    # three-member utility sum would change its last bits.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bursts = []
+    for _ in range(draw(st.integers(min_value=2, max_value=5))):
+        scheduled = sorted(draw(st.sets(ues, min_size=1)))
+        bursts.append(
+            {
+                "ue_ids": tuple(scheduled),
+                "sinr": {
+                    ue: rng.uniform(-5.0, 35.0, size=num_rbs)
+                    for ue in scheduled
+                },
+                "avgs": {
+                    ue: float(10.0 ** rng.uniform(3.0, 7.0))
+                    for ue in scheduled
+                },
+                "max_distinct_ues": draw(st.integers(min_value=1, max_value=6)),
+            }
+        )
+    swap = None
+    if draw(st.booleans()):
+        swap = (
+            draw(st.floats(min_value=0.1, max_value=0.9)),
+            draw(st.sets(ues, min_size=1, max_size=3)),
+        )
+    return {
+        "topology": InterferenceTopology.build(num_ues, terminals),
+        "num_rbs": num_rbs,
+        "num_antennas": num_antennas,
+        "factor": draw(st.sampled_from([1.5, 2.0, 3.0])),
+        "bursts": bursts,
+        "swap": swap,
+        "observed": draw(st.booleans()),
+    }
+
+
+def run_bursts(case, disable_kernel):
+    """Per burst: (schedule, captured ``rb_utilities``, provider cache
+    hits, misses and size), plus the obs registry's final snapshot (both
+    empty when the case runs unobserved)."""
+    env = {"REPRO_DISABLE_KERNEL": "1"} if disable_kernel else {}
+    with mock.patch.dict(os.environ, env):
+        if not disable_kernel:
+            os.environ.pop("REPRO_DISABLE_KERNEL", None)
+        provider = TopologyJointProvider(case["topology"])
+        scheduler = SpeculativeScheduler(
+            provider, overschedule_factor=case["factor"]
+        )
+        captured = []
+        record = scheduler._record_metrics
+
+        def spy(registry, context, schedule, rb_utilities=None):
+            captured.append(dict(rb_utilities))
+            record(registry, context, schedule, rb_utilities)
+
+        scheduler._record_metrics = spy
+        trace = []
+        registry = MetricsRegistry()
+        with use_registry(registry) if case["observed"] else nullcontext():
+            for index, burst in enumerate(case["bursts"]):
+                if case["swap"] and index == len(case["bursts"]) // 2:
+                    provider.topology = provider.topology.with_terminal(
+                        *case["swap"]
+                    )
+                context = SchedulingContext(
+                    subframe=index,
+                    num_rbs=case["num_rbs"],
+                    num_antennas=case["num_antennas"],
+                    ue_ids=burst["ue_ids"],
+                    sinr_db=burst["sinr"],
+                    avg_throughput_bps=burst["avgs"],
+                    max_distinct_ues=burst["max_distinct_ues"],
+                    vectorized=True,
+                )
+                schedule = scheduler.schedule(context)
+                trace.append(
+                    (
+                        schedule,
+                        captured.pop() if captured else None,
+                        provider.cache_hits,
+                        provider.cache_misses,
+                        provider.cache_size(),
+                    )
+                )
+        compiled = provider.fast_tables().table_ptr is not None
+        return trace, registry.snapshot().to_dict(), compiled
+
+
+@given(burst_sequences())
+@settings(max_examples=60, deadline=None)
+def test_kernel_walk_matches_scorer_counters_and_utilities(case):
+    """The compiled speculative walk and the pure-Python step scorer agree
+    burst by burst on schedules, per-RB utilities (``==`` floats, trimmed
+    groups included) and the provider's service-cache counters — so the
+    obs snapshot's ``scheduler.pattern_cache_*`` counts hold too."""
+    pure, pure_metrics, pure_compiled = run_bursts(case, disable_kernel=True)
+    assert not pure_compiled
+    walk, walk_metrics, compiled = run_bursts(case, disable_kernel=False)
+    assert compiled == kernel_available()
+    for index, (got, want) in enumerate(zip(walk, pure)):
+        assert got[0] == want[0], f"burst {index}: schedules diverged"
+        assert got[1] == want[1], f"burst {index}: rb_utilities diverged"
+        assert got[2:] == want[2:], f"burst {index}: cache counters diverged"
+    assert walk_metrics == pure_metrics
 
 
 def test_kernel_is_available_on_this_platform():
