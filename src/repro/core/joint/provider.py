@@ -48,6 +48,10 @@ PatternTable = Dict[Tuple[int, int], float]
 _U64 = (1 << 64) - 1
 #: Entries of a fresh compiled table (it doubles as it fills).
 _TABLE_INITIAL_CAPACITY = 256
+#: Largest topology that gets a compiled table.  The compiled walk takes
+#: only UE ids below 64; beyond that the scheduler prices through the step
+#: scorer, which reads :meth:`_FastJointTables.service` at dict speed.
+_TABLE_MAX_UES = 64
 
 
 def _members(mask: int) -> List[int]:
@@ -140,11 +144,11 @@ class _FastJointTables:
     integer bitmask keys ``(group mask, M)`` and memoizes each group's
     answer forever, in one of two caches:
 
-    * **the compiled service table** — when the kernel library is loaded,
-      every key it can hold (UE ids below 64, at most
-      ``KERNEL_MAX_MEMBERS`` members — the scheduler's group cap, ``M``
-      non-negative) lives in an open-addressing table whose buffers are
-      numpy arrays owned here (``joint_lookup`` in
+    * **the compiled service table** — when the kernel library is loaded
+      and the topology has at most 64 UEs, every key it can hold (at
+      most ``KERNEL_MAX_MEMBERS`` members — the scheduler's group cap,
+      ``M`` non-negative) lives in an open-addressing table whose
+      buffers are numpy arrays owned here (``joint_lookup`` in
       ``core/scheduling/_kernel.py``).  The compiled speculative walk
       (``speculative_fill``) reads and fills it directly; :meth:`service`
       reads the same entries, so a key is never held twice.  A miss runs
@@ -152,8 +156,8 @@ class _FastJointTables:
       caller may insert, :meth:`reserve` grows the buffers (doubling, via
       ``joint_rehash``) to keep the load at or below one half.
     * **a dict** of ``{ue: probability}`` maps — keys the table refuses,
-      and every key on machines without the kernel; misses run the Python
-      walk in :meth:`_walk`.
+      and every key of a topology with more than 64 UEs or on machines
+      without the kernel; misses run the Python walk in :meth:`_walk`.
 
     ``hits``, ``misses`` and :meth:`cache_size` sum both caches.  Either
     miss path costs one pass over the topology's terminals plus the
@@ -199,7 +203,7 @@ class _FastJointTables:
         #: {capacity, hits, misses, size}, written by the kernel (all zero
         #: without it).
         self._meta = np.zeros(4, dtype=np.int64)
-        lib = kernel()
+        lib = kernel() if topology.num_ues <= _TABLE_MAX_UES else None
         #: The compiled table's lookup (``None`` without the kernel).
         self._kernel = None if lib is None else lib.joint_lookup
         #: Address of the compiled table's ``ServiceTable`` descriptor,

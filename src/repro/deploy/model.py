@@ -186,18 +186,30 @@ class Deployment:
         }
 
 
-def _rx_power_dbm(
-    tx_power_dbm: float, distance_m: np.ndarray, exponent: float
+def _rx_power_map(
+    tx_power_dbm: float, a: np.ndarray, b: np.ndarray, exponent: float
 ) -> np.ndarray:
-    """Vectorized log-distance received power (mirrors ``PathLossModel``)."""
-    d = np.maximum(np.asarray(distance_m, dtype=float), 1.0)
-    return tx_power_dbm - (40.0 + 10.0 * exponent * np.log10(d))
+    """Log-distance received power (mirrors ``PathLossModel``) from each
+    point of ``a`` at each point of ``b``, shape ``(len(a), len(b))``.
 
-
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, shape ``(len(a), len(b))``."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    Every step after the two coordinate differences writes into one
+    buffer; the IEEE operations and their order are those of
+    ``tx - (40 + 10·exponent·log10(max(‖a - b‖, 1)))``, so the result is
+    bit-identical to evaluating that expression out of place.
+    """
+    power = a[:, None, 0] - b[None, :, 0]
+    dy = a[:, None, 1] - b[None, :, 1]
+    power *= power
+    dy *= dy
+    power += dy
+    del dy
+    np.sqrt(power, out=power)
+    np.maximum(power, 1.0, out=power)
+    np.log10(power, out=power)
+    power *= 10.0 * exponent
+    power += 40.0
+    np.subtract(tx_power_dbm, power, out=power)
+    return power
 
 
 def _positions_array(positions: Tuple[Position, ...]) -> np.ndarray:
@@ -266,8 +278,9 @@ def _attenuate_cross_channel(
     ue_at_ue: np.ndarray,
     wifi_at_enb: np.ndarray,
     wifi_at_ue: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Tuple[int, ...]]:
-    """ACLR-attenuated copies of every received-power map.
+) -> Tuple[int, ...]:
+    """Attenuate every received-power map in place by the plan's ACLR;
+    return the channel each ambient WiFi node serves.
 
     Each entry loses ``aclr_db(listener channel, transmitter channel)``;
     listeners hear through their cell's channel filter (a UE or eNB on
@@ -281,17 +294,14 @@ def _attenuate_cross_channel(
     ue_ch = cell_ch[home_cell]
     aclr = plan.leakage_matrix_db()
 
-    ue_at_enb = ue_at_enb - aclr[np.ix_(ue_ch, cell_ch)]
-    ue_at_ue = ue_at_ue - aclr[np.ix_(ue_ch, ue_ch)]
-    if wifi_at_enb.shape[0]:
-        wifi_home = wifi_at_enb.argmax(axis=1)
-        wifi_ch = cell_ch[wifi_home]
-        wifi_at_enb = wifi_at_enb - aclr[np.ix_(wifi_ch, cell_ch)]
-        wifi_at_ue = wifi_at_ue - aclr[np.ix_(wifi_ch, ue_ch)]
-        wifi_channels = tuple(int(c) for c in wifi_ch)
-    else:
-        wifi_channels = ()
-    return ue_at_enb, ue_at_ue, wifi_at_enb, wifi_at_ue, wifi_channels
+    ue_at_enb -= aclr[np.ix_(ue_ch, cell_ch)]
+    ue_at_ue -= aclr[np.ix_(ue_ch, ue_ch)]
+    if not wifi_at_enb.shape[0]:
+        return ()
+    wifi_ch = cell_ch[wifi_at_enb.argmax(axis=1)]
+    wifi_at_enb -= aclr[np.ix_(wifi_ch, cell_ch)]
+    wifi_at_ue -= aclr[np.ix_(wifi_ch, ue_ch)]
+    return tuple(int(c) for c in wifi_ch)
 
 
 def build_deployment(spec: DeploymentSpec) -> Deployment:
@@ -299,8 +309,15 @@ def build_deployment(spec: DeploymentSpec) -> Deployment:
 
     The entire construction — placement, activity draws, per-cell
     classification, coupling, clustering — is a pure function of the
-    spec, so workers rebuild an identical deployment from the spec dict
-    alone.
+    spec: a campaign builds it once in the parent and ships each cluster
+    its built cells, and a resume rebuilds the identical deployment from
+    the checkpoint manifest's spec alone.
+
+    Classification thresholds each received-power map once; a cell then
+    visits only the transmitters that reach its eNB or a UE.  The scalar
+    form it replaced (one visit per WiFi node and foreign UE per cell)
+    lives on as the test oracle ``tests/reference/deploy.py``, and both
+    agree bit for bit.
     """
     root = np.random.SeedSequence(spec.seed)
     enb_ss, wifi_ss, cells_ss, clusters_ss = root.spawn(4)
@@ -347,30 +364,26 @@ def build_deployment(spec: DeploymentSpec) -> Deployment:
         wifi_positions = ()
         wifi_activity = ()
 
-    # -- vectorized received-power maps ------------------------------------
+    # -- received-power maps -----------------------------------------------
     ue_xy = _positions_array(tuple(ue_positions))
     enb_xy = _positions_array(enbs)
     exponent = radio.path_loss_exponent
     # (total_ues, num_cells) and (total_ues, total_ues)
-    ue_at_enb = _rx_power_dbm(
-        radio.ue_tx_power_dbm, _distances(ue_xy, enb_xy), exponent
-    )
-    ue_at_ue = _rx_power_dbm(
-        radio.ue_tx_power_dbm, _distances(ue_xy, ue_xy), exponent
-    )
+    ue_at_enb = _rx_power_map(radio.ue_tx_power_dbm, ue_xy, enb_xy, exponent)
+    ue_at_ue = _rx_power_map(radio.ue_tx_power_dbm, ue_xy, ue_xy, exponent)
     if num_wifi > 0:
         wifi_xy = _positions_array(wifi_positions)
-        wifi_at_enb = _rx_power_dbm(
-            radio.wifi_tx_power_dbm, _distances(wifi_xy, enb_xy), exponent
+        wifi_at_enb = _rx_power_map(
+            radio.wifi_tx_power_dbm, wifi_xy, enb_xy, exponent
         )
-        wifi_at_ue = _rx_power_dbm(
-            radio.wifi_tx_power_dbm, _distances(wifi_xy, ue_xy), exponent
+        wifi_at_ue = _rx_power_map(
+            radio.wifi_tx_power_dbm, wifi_xy, ue_xy, exponent
         )
     else:
         wifi_at_enb = np.zeros((0, num_cells))
         wifi_at_ue = np.zeros((0, len(ue_positions)))
 
-    home_cell = np.repeat(np.arange(num_cells), spec.ues_per_cell)
+    per_cell = spec.ues_per_cell
     ue_ed = radio.ue_ed_threshold_dbm
     enb_ed = radio.enb_ed_threshold_dbm
 
@@ -386,75 +399,75 @@ def build_deployment(spec: DeploymentSpec) -> Deployment:
             spec.num_channels, spacing_mhz=spec.channel_spacing_mhz
         )
         base_coupling = _coupling_matrix(
-            num_cells, home_cell, ue_at_ue, ue_at_enb, wifi_at_ue,
-            wifi_at_enb, ue_ed, enb_ed,
+            per_cell, ue_at_ue, ue_at_enb, wifi_at_ue, wifi_at_enb,
+            ue_ed, enb_ed,
         )
         cell_channels = _assign_cell_channels(spec, num_cells, base_coupling)
-        (
-            ue_at_enb,
-            ue_at_ue,
-            wifi_at_enb,
-            wifi_at_ue,
-            wifi_channels,
-        ) = _attenuate_cross_channel(
+        home_cell = np.repeat(np.arange(num_cells), per_cell)
+        wifi_channels = _attenuate_cross_channel(
             plan, cell_channels, home_cell, ue_at_enb, ue_at_ue,
             wifi_at_enb, wifi_at_ue,
         )
 
+    # -- sensing classification ----------------------------------------------
+    # Thresholded once; each cell then visits only the transmitters that
+    # reach it, in the order the classification is defined in (WiFi in
+    # id order, then foreign UEs in global id order), so ``enb_idle``
+    # multiplies the same factors in the same sequence.
+    wifi_heard_at = wifi_at_enb >= enb_ed  # (wifi, cells)
+    wifi_audible_at = wifi_at_ue >= ue_ed  # (wifi, total_ues)
+    ue_heard_at = ue_at_enb >= enb_ed  # (total_ues, cells)
+    ue_audible_at = ue_at_ue >= ue_ed  # (total_ues, total_ues)
     cells: List[CellView] = []
     for cell_id in range(num_cells):
-        local = np.flatnonzero(home_cell == cell_id)
+        own = slice(cell_id * per_cell, (cell_id + 1) * per_cell)
         terminals: List[Tuple[float, List[int]]] = []
         terminal_wifi: List[int] = []
         cross: List[CrossCellTerminal] = []
         enb_idle = 1.0 - spec.sim.enb_busy_probability
 
         # Ambient WiFi interferers, in wifi-id order.
-        for wifi_id in range(num_wifi):
-            if wifi_at_enb[wifi_id, cell_id] >= enb_ed:
+        heard = wifi_heard_at[:, cell_id]
+        audible = wifi_audible_at[:, own]
+        for wifi_id in np.flatnonzero(heard | audible.any(axis=1)).tolist():
+            if heard[wifi_id]:
                 enb_idle *= 1.0 - wifi_activity[wifi_id]
                 continue
-            audible = np.flatnonzero(wifi_at_ue[wifi_id, local] >= ue_ed)
-            if audible.size:
-                terminals.append(
-                    (wifi_activity[wifi_id], [int(u) for u in audible])
-                )
-                terminal_wifi.append(wifi_id)
+            terminals.append(
+                (wifi_activity[wifi_id], np.flatnonzero(audible[wifi_id]).tolist())
+            )
+            terminal_wifi.append(wifi_id)
 
         # Cross-cell UE transmitters, in global-ue-id order.
-        foreign = np.flatnonzero(home_cell != cell_id)
-        for ue_global in foreign:
-            if ue_at_enb[ue_global, cell_id] >= enb_ed:
+        heard = ue_heard_at[:, cell_id]
+        audible = ue_audible_at[:, own]
+        reaching = heard | audible.any(axis=1)
+        reaching[own] = False
+        for ue_global in np.flatnonzero(reaching).tolist():
+            if heard[ue_global]:
                 enb_idle *= 1.0 - radio.ue_uplink_activity
                 continue
-            audible = np.flatnonzero(ue_at_ue[ue_global, local] >= ue_ed)
-            if audible.size:
-                cross.append(
-                    CrossCellTerminal(
-                        terminal_index=len(terminals),
-                        source_cell=int(home_cell[ue_global]),
-                        source_ue=int(ue_global),
-                    )
+            cross.append(
+                CrossCellTerminal(
+                    terminal_index=len(terminals),
+                    source_cell=ue_global // per_cell,
+                    source_ue=ue_global,
                 )
-                terminals.append(
-                    (radio.ue_uplink_activity, [int(u) for u in audible])
-                )
-                terminal_wifi.append(-1)
-
-        topology = InterferenceTopology.build(len(local), terminals)
-        snrs = {
-            int(pos): float(
-                ue_at_enb[ue_global, cell_id] - consts.NOISE_FLOOR_10MHZ_DBM
             )
-            for pos, ue_global in enumerate(local)
-        }
+            terminals.append(
+                (radio.ue_uplink_activity, np.flatnonzero(audible[ue_global]).tolist())
+            )
+            terminal_wifi.append(-1)
+
+        topology = InterferenceTopology.build(per_cell, terminals)
+        snrs = (ue_at_enb[own, cell_id] - consts.NOISE_FLOOR_10MHZ_DBM).tolist()
         cells.append(
             CellView(
                 cell_id=cell_id,
                 enb=enbs[cell_id],
-                ue_ids=tuple(int(u) for u in local),
+                ue_ids=tuple(range(own.start, own.stop)),
                 topology=topology,
-                mean_snr_db=snrs,
+                mean_snr_db=dict(enumerate(snrs)),
                 enb_busy_probability=min(max(1.0 - enb_idle, 0.0), 0.999),
                 terminal_wifi_ids=tuple(terminal_wifi),
                 cross_cell_terminals=tuple(cross),
@@ -462,8 +475,7 @@ def build_deployment(spec: DeploymentSpec) -> Deployment:
         )
 
     coupling = _coupling_matrix(
-        num_cells, home_cell, ue_at_ue, ue_at_enb, wifi_at_ue, wifi_at_enb,
-        ue_ed, enb_ed,
+        per_cell, ue_at_ue, ue_at_enb, wifi_at_ue, wifi_at_enb, ue_ed, enb_ed
     )
     clusters = coupling_clusters(coupling, spec.coupling_margin_db)
     cluster_seeds = tuple(clusters_ss.spawn(len(clusters)))
@@ -486,8 +498,7 @@ def build_deployment(spec: DeploymentSpec) -> Deployment:
 
 
 def _coupling_matrix(
-    num_cells: int,
-    home_cell: np.ndarray,
+    ues_per_cell: int,
     ue_at_ue: np.ndarray,
     ue_at_enb: np.ndarray,
     wifi_at_ue: np.ndarray,
@@ -503,41 +514,39 @@ def _coupling_matrix(
     shared ambient WiFi node ``w`` — the *weaker* of ``w``'s margins into
     the two cells (``w`` couples both only if it reaches both).  A value
     ``>= -margin_db`` makes the cells coupled; the diagonal is ``+inf``.
+
+    UEs are homed in blocks of ``ues_per_cell`` consecutive ids, so every
+    per-cell reduction is a max over one reshaped axis.  Max and min are
+    exact, so no reduction order can change a bit.
     """
-    total_ues = ue_at_ue.shape[0]
+    total_ues, num_cells = ue_at_enb.shape
     # margin of UE u's uplink into cell c's sensing footprint: (UEs, cells)
     ue_margin = ue_at_enb - enb_ed
-    for cell in range(num_cells):
-        members = np.flatnonzero(home_cell == cell)
-        if members.size:
-            at_ues = ue_at_ue[:, members].max(axis=1) - ue_ed
-            ue_margin[:, cell] = np.maximum(ue_margin[:, cell], at_ues)
+    at_ues = ue_at_ue.reshape(total_ues, num_cells, ues_per_cell).max(axis=2)
+    at_ues -= ue_ed
+    np.maximum(ue_margin, at_ues, out=ue_margin)
     # A UE's margin into its own cell is not coupling.
-    ue_margin[np.arange(total_ues), home_cell] = -np.inf
+    ue_margin[np.arange(total_ues), np.arange(total_ues) // ues_per_cell] = -np.inf
 
     # per-home-cell reduction: strongest member margin into each cell.
-    direct = np.full((num_cells, num_cells), -np.inf)
-    for cell in range(num_cells):
-        members = np.flatnonzero(home_cell == cell)
-        if members.size:
-            direct[cell, :] = ue_margin[members, :].max(axis=0)
-    direct = np.maximum(direct, direct.T)
+    direct = ue_margin.reshape(num_cells, ues_per_cell, num_cells).max(axis=1)
+    coupling = np.maximum(direct, direct.T)
 
-    coupling = direct
-    if wifi_at_ue.shape[0]:
+    num_wifi = wifi_at_ue.shape[0]
+    if num_wifi:
         wifi_margin = wifi_at_enb - enb_ed  # (wifi, cells)
-        for cell in range(num_cells):
-            members = np.flatnonzero(home_cell == cell)
-            if members.size:
-                at_ues = wifi_at_ue[:, members].max(axis=1) - ue_ed
-                wifi_margin[:, cell] = np.maximum(wifi_margin[:, cell], at_ues)
+        at_ues = wifi_at_ue.reshape(num_wifi, num_cells, ues_per_cell).max(axis=2)
+        at_ues -= ue_ed
+        np.maximum(wifi_margin, at_ues, out=wifi_margin)
         # Shared-interferer coupling: min of the two per-cell margins,
-        # maximized over WiFi nodes.
-        shared = np.minimum(
-            wifi_margin[:, :, None], wifi_margin[:, None, :]
-        ).max(axis=0)
+        # maximized over WiFi nodes one node at a time.
+        shared = np.full((num_cells, num_cells), -np.inf)
+        pair = np.empty_like(shared)
+        for margin in wifi_margin:
+            np.minimum(margin[:, None], margin[None, :], out=pair)
+            np.maximum(shared, pair, out=shared)
         np.fill_diagonal(shared, -np.inf)
-        coupling = np.maximum(coupling, shared)
+        np.maximum(coupling, shared, out=coupling)
 
     np.fill_diagonal(coupling, np.inf)
     return coupling

@@ -8,15 +8,17 @@ cluster, fanned out through the resilience layer's
 atomic checkpoints, bounded retries, and quarantine of permanently
 failing clusters.
 
-Work items are ``(spec_dict, cluster_index)`` — plain data, always
-picklable.  Each worker rebuilds the (pure-function-of-the-spec)
-deployment, runs its cluster's cells in cell order against the stored
-per-cell ``SeedSequence`` streams, and ships the per-cell
-:class:`~repro.sim.results.SimulationResult` list back.  Because every
-cell's engine stream depends only on the deployment seed tree — never on
-which process or cluster shard executed it — sharded execution is
-bit-identical to running all cells serially (the regression tests pin
-this down).
+The parent builds the deployment once and checks its partition with
+:func:`~repro.deploy.partition.verify_partition`; a sound partition is
+what makes each cluster self-contained.  Work items are
+``(spec, [(CellView, sim SeedSequence), ...])`` — the cluster's built
+cells with their stored engine streams, plain picklable data — so a
+worker never rebuilds the deployment.  It runs the cells in cell order
+and ships the per-cell :class:`~repro.sim.results.SimulationResult`
+list back.  Because every cell's engine stream depends only on the
+deployment seed tree — never on which process or cluster shard
+executed it — sharded execution is bit-identical to running all cells
+serially (the regression tests pin this down).
 
 Worker-level fault injection draws from each cluster's own
 ``SeedSequence`` child, so fault schedules are per-cluster-deterministic
@@ -25,11 +27,12 @@ and independent of how clusters map to processes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.deploy.model import Deployment, build_deployment
+import numpy as np
+
+from repro.deploy.model import CellView, Deployment, build_deployment
 from repro.deploy.partition import verify_partition
 from repro.deploy.spec import DeploymentSpec
 from repro.errors import CheckpointError, DeploymentError
@@ -136,10 +139,11 @@ class CampaignResult:
         return collect_series(result for _, result in self.ordered_cells())
 
 
-def _run_cell(deployment: Deployment, cell_id: int) -> SimulationResult:
-    """Simulate one cell of a built deployment with a fresh scheduler."""
-    spec = deployment.spec
-    cell = deployment.cells[cell_id]
+def _run_cell(
+    spec: DeploymentSpec, cell: CellView, seed: np.random.SeedSequence
+) -> SimulationResult:
+    """Simulate one built cell with a fresh scheduler on its engine
+    stream."""
     context = BuildContext(
         num_ues=cell.num_ues,
         topology=cell.topology,
@@ -154,14 +158,14 @@ def _run_cell(deployment: Deployment, cell_id: int) -> SimulationResult:
         session = ObsSession(
             obs,
             phase_probe=lambda: getattr(scheduler, "phase", None),
-            run_label=f"cell-{cell_id}",
+            run_label=f"cell-{cell.cell_id}",
         )
     simulation = CellSimulation(
         topology=cell.topology,
         mean_snr_db=cell.mean_snr_db,
         scheduler=scheduler,
         config=cell.sim_config(spec.sim),
-        seed=deployment.cell_sim_seeds[cell_id],
+        seed=seed,
         record_series=spec.record_series,
         hooks=session.hooks if session is not None else None,
     )
@@ -174,25 +178,20 @@ def _run_cell(deployment: Deployment, cell_id: int) -> SimulationResult:
     return result
 
 
-#: Per-process deployment cache: building a 100-cell deployment is cheap
-#: but not free, and a worker may execute many cluster items of the same
-#: campaign.  Keyed by the canonical spec JSON; capacity 1 (workers only
-#: ever serve one campaign at a time).
-_DEPLOYMENT_CACHE: Dict[str, Deployment] = {}
+#: (spec, [(cell, engine seed) for each cell of one cluster, in cell
+#: order]) — built by the parent, always picklable.
+_ClusterItem = Tuple[DeploymentSpec, List[Tuple[CellView, np.random.SeedSequence]]]
 
 
-def _cached_deployment(spec_dict: Dict[str, Any]) -> Deployment:
-    key = json.dumps(spec_dict, sort_keys=True)
-    if key not in _DEPLOYMENT_CACHE:
-        _DEPLOYMENT_CACHE.clear()
-        _DEPLOYMENT_CACHE[key] = build_deployment(
-            DeploymentSpec.from_dict(spec_dict)
-        )
-    return _DEPLOYMENT_CACHE[key]
-
-
-#: (spec_dict, cluster_index) — plain data, always picklable.
-_ClusterItem = Tuple[Dict[str, Any], int]
+def _cluster_item(deployment: Deployment, cluster_index: int) -> _ClusterItem:
+    """The work item that runs one cluster of a built deployment."""
+    return (
+        deployment.spec,
+        [
+            (deployment.cells[cell_id], deployment.cell_sim_seeds[cell_id])
+            for cell_id in deployment.clusters[cluster_index]
+        ],
+    )
 
 
 def _run_cluster_item(item: _ClusterItem) -> List[Dict[str, Any]]:
@@ -202,10 +201,8 @@ def _run_cluster_item(item: _ClusterItem) -> List[Dict[str, Any]]:
     (rather than live objects) so the same payload is what checkpoints
     store — one serialization, bit-exact either way.
     """
-    spec_dict, cluster_index = item
-    deployment = _cached_deployment(spec_dict)
-    cluster = deployment.clusters[cluster_index]
-    return [_run_cell(deployment, cell_id).to_state() for cell_id in cluster]
+    spec, cells = item
+    return [_run_cell(spec, cell, seed).to_state() for cell, seed in cells]
 
 
 def _cluster_fault_seed(deployment: Deployment, cluster_index: int) -> int:
@@ -290,7 +287,7 @@ def run_campaign(
 
     failed: Dict[int, FailedItem] = {}
     if pending:
-        items: List[_ClusterItem] = [(spec_dict, index) for index in pending]
+        items = [_cluster_item(deployment, index) for index in pending]
 
         worker_fault = None
         if spec.faults is not None and spec.faults.has_worker_faults:

@@ -5,11 +5,14 @@ Both hooks honour the seam's contract — they read the
 instrumented run is bit-exact with an uninstrumented one.  Everything here
 costs nothing when observability is off, because the engine then attaches
 no hooks at all and the pipeline takes its direct-call path.
+:class:`MetricsHooks` reads only ``on_subframe_end``, so a session without
+tracing observes no stage and its pipeline runs the stages without per-stage
+callbacks.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.lte.enb import OUTCOMES
 from repro.obs.metrics import MetricsRegistry
@@ -56,6 +59,9 @@ class MetricsHooks(SimHooks):
         self._subframes = registry.counter(
             "engine.subframes", help="subframes simulated, by kind", labels=("kind",)
         )
+        #: ``engine.subframes`` children by kind, each created by its
+        #: kind's first subframe (so series order is unchanged).
+        self._subframes_by_kind: Dict[str, Any] = {}
         self._cca = registry.counter(
             "engine.cca_failures",
             help="per-subframe count of UEs silenced by CCA",
@@ -112,7 +118,13 @@ class MetricsHooks(SimHooks):
 
     def on_subframe_end(self, ctx: SubframeContext) -> None:
         """Account one finished subframe's outcomes into the registry."""
-        self._subframes.labels(kind=ctx.kind).inc()
+        kind = ctx.kind
+        subframes = self._subframes_by_kind.get(kind)
+        if subframes is None:
+            subframes = self._subframes_by_kind[kind] = self._subframes.labels(
+                kind=kind
+            )
+        subframes.inc()
         if ctx.silenced:
             self._cca.inc(len(ctx.silenced))
             if self._channel_silenced is not None:
@@ -121,7 +133,7 @@ class MetricsHooks(SimHooks):
                         self._channel_silenced.labels(
                             channel=str(self._ue_channels[ue])
                         ).inc()
-        if ctx.kind != UPLINK:
+        if kind != UPLINK:
             return
         schedule = ctx.schedule
         if schedule is None:

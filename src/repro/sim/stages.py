@@ -116,7 +116,22 @@ class SimHooks:
     metric streaming, dynamics probes.  Hooks must not mutate simulation
     state: the engine's bit-exactness contract says an attached hook cannot
     change a seeded result.
+
+    A hook whose class overrides neither stage callback is not a stage
+    observer (:attr:`observes_stages`): the pipeline and
+    :class:`CompositeHooks` skip its stage calls and deliver only
+    :meth:`on_subframe_end`.
     """
+
+    @property
+    def observes_stages(self) -> bool:
+        """Whether this hook receives ``on_stage_start``/``on_stage_end``:
+        true when its class overrides either one."""
+        cls = type(self)
+        return (
+            cls.on_stage_start is not SimHooks.on_stage_start
+            or cls.on_stage_end is not SimHooks.on_stage_end
+        )
 
     def on_stage_start(
         self, stage: "SubframeStage", ctx: SubframeContext
@@ -163,11 +178,20 @@ class CompositeHooks(SimHooks):
     events (a tracer dying mid-run must not corrupt the metrics counters).
     Collected exceptions re-raise after the fan-out — the single error
     as-is, multiple as an ``ExceptionGroup`` (the first alone on Pythons
-    without exception groups).
+    without exception groups).  Stage callbacks go only to the children
+    that observe stages (:attr:`SimHooks.observes_stages`);
+    :meth:`on_subframe_end` goes to every child.
     """
 
     def __init__(self, hooks: Sequence[SimHooks]) -> None:
         self.hooks = tuple(hooks)
+        self._stage_hooks = tuple(
+            hook for hook in self.hooks if hook.observes_stages
+        )
+
+    @property
+    def observes_stages(self) -> bool:
+        return bool(self._stage_hooks)
 
     @staticmethod
     def _raise_collected(errors: List[BaseException]) -> None:
@@ -179,7 +203,7 @@ class CompositeHooks(SimHooks):
         self, stage: "SubframeStage", ctx: SubframeContext
     ) -> None:
         errors: List[BaseException] = []
-        for hook in self.hooks:
+        for hook in self._stage_hooks:
             try:
                 hook.on_stage_start(stage, ctx)
             except Exception as error:  # noqa: BLE001 - collected and re-raised
@@ -191,7 +215,7 @@ class CompositeHooks(SimHooks):
         self, stage: "SubframeStage", ctx: SubframeContext
     ) -> None:
         errors: List[BaseException] = []
-        for hook in self.hooks:
+        for hook in self._stage_hooks:
             try:
                 hook.on_stage_end(stage, ctx)
             except Exception as error:  # noqa: BLE001 - collected and re-raised
@@ -410,7 +434,10 @@ class SubframePipeline:
 
     Stage lists are pre-partitioned by subframe kind so the hot loop pays
     one tuple lookup per subframe; with no hooks attached the pipeline adds
-    nothing but direct stage calls.
+    nothing but direct stage calls, and with hooks that observe no stage
+    (:attr:`SimHooks.observes_stages`) only the closing
+    ``on_subframe_end``.  Whether the attached hooks observe stages is
+    read once, when the pipeline is built.
     """
 
     def __init__(
@@ -420,6 +447,7 @@ class SubframePipeline:
     ) -> None:
         self.stages = tuple(stages)
         self.hooks = hooks
+        self._observed = hooks is not None and hooks.observes_stages
         self._by_kind = {
             kind: tuple(stage for stage in self.stages if kind in stage.kinds)
             for kind in _ALL_KINDS
@@ -434,10 +462,14 @@ class SubframePipeline:
             for stage in self._by_kind[ctx.kind]:
                 stage.run(sim, ctx)
             return
-        for stage in self._by_kind[ctx.kind]:
-            hooks.on_stage_start(stage, ctx)
-            stage.run(sim, ctx)
-            hooks.on_stage_end(stage, ctx)
+        if self._observed:
+            for stage in self._by_kind[ctx.kind]:
+                hooks.on_stage_start(stage, ctx)
+                stage.run(sim, ctx)
+                hooks.on_stage_end(stage, ctx)
+        else:
+            for stage in self._by_kind[ctx.kind]:
+                stage.run(sim, ctx)
         hooks.on_subframe_end(ctx)
 
 

@@ -17,6 +17,7 @@ from repro.core.scheduling.speculative import SpeculativeScheduler
 from repro.core.scheduling.types import SchedulingContext
 from repro.errors import TopologyError
 from repro.lte.pilots import MAX_ORTHOGONAL_PILOTS
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.topology.graph import InterferenceTopology
 from repro.topology.scenarios import testbed_topology as make_testbed_topology
 
@@ -280,9 +281,12 @@ class TestServiceTables:
             before[2] + 1,
         )
         key = (sum(1 << ue for ue in group), 2)
-        assert list(tables._service)[-1] == key
-        if kernel_available():
+        # The compiled table holds the eligible key only for topologies of
+        # at most 64 UEs; otherwise every key lives in the dict.
+        if kernel_available() and num_ues <= 64:
             assert list(tables._service) == [key]
+        else:
+            assert list(tables._service) == [(0b11, 2), key]
         assert provider.decodable_service(group, 2) is first
         assert (tables.hits, tables.misses, tables.cache_size()) == (
             before[0] + 1,
@@ -358,6 +362,77 @@ class TestServiceTables:
         }
         assert granted & {64, 65}
 
+
+
+    def test_topologies_beyond_64_ues_keep_every_key_in_the_dict(
+        self, monkeypatch
+    ):
+        """A 70-UE topology gets no compiled table, so its step-scorer hits
+        are dict hits; kernel and kernel-free runs agree on services,
+        schedules, per-RB utilities and cache counters."""
+        topology = InterferenceTopology.build(
+            70,
+            [(0.4, {0, 64}), (0.3, {1, 65, 69}), (0.5, {2, 64, 65}),
+             (0.2, {3}), (0.35, {4, 5, 68})],
+        )
+        ue_ids = (0, 1, 2, 3, 4, 5, 64, 65, 68, 69)
+        rng = np.random.default_rng(11)
+        bursts = [
+            (
+                {ue: rng.uniform(0.0, 30.0, size=6) for ue in ue_ids},
+                {ue: 1e5 * (1 + (ue + burst) % 7) for ue in ue_ids},
+            )
+            for burst in range(4)
+        ]
+        groups = [frozenset({0, 64}), frozenset({1, 2, 65}), frozenset({3, 69}),
+                  frozenset({0, 64})]
+
+        def run(disable_kernel):
+            if disable_kernel:
+                monkeypatch.setenv("REPRO_DISABLE_KERNEL", "1")
+            else:
+                monkeypatch.delenv("REPRO_DISABLE_KERNEL", raising=False)
+            provider = TopologyJointProvider(topology)
+            tables = provider.fast_tables()
+            scheduler = SpeculativeScheduler(provider)
+            utilities = []
+            record = scheduler._record_metrics
+
+            def spy(registry, context, schedule, rb_utilities=None):
+                utilities.append(dict(rb_utilities))
+                record(registry, context, schedule, rb_utilities)
+
+            scheduler._record_metrics = spy
+            trace = []
+            with use_registry(MetricsRegistry()):
+                for subframe, (sinr, avgs) in enumerate(bursts):
+                    schedule = scheduler.schedule(
+                        SchedulingContext(
+                            subframe=subframe,
+                            num_rbs=6,
+                            num_antennas=2,
+                            ue_ids=ue_ids,
+                            sinr_db=sinr,
+                            avg_throughput_bps=avgs,
+                            max_distinct_ues=6,
+                            vectorized=True,
+                        )
+                    )
+                    trace.append((schedule, utilities.pop()))
+            services = [
+                list(provider.decodable_service(group, 2).items())
+                for group in groups
+            ]
+            counters = (tables.hits, tables.misses, tables.cache_size())
+            return tables.table_ptr, trace, services, counters
+
+        pure_ptr, pure_trace, pure_services, pure_counters = run(True)
+        ptr, trace, services, counters = run(False)
+        assert pure_ptr is None and ptr is None
+        assert trace == pure_trace
+        assert services == pure_services
+        assert counters == pure_counters
+        assert counters[0] > 0
 
 
 class TestEmpiricalJointProvider:

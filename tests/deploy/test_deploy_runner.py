@@ -120,6 +120,57 @@ class TestCheckpointResume:
             resume_campaign(tmp_path / "ckpt")
 
 
+class TestBuildOnce:
+    """The parent builds the deployment once per campaign; work items carry
+    their cluster's cells, so nothing rebuilds it."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        import repro.deploy.runner as runner
+
+        calls = []
+        build = runner.build_deployment
+
+        def counting(spec):
+            calls.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(runner, "build_deployment", counting)
+        return calls
+
+    # Specs no other test runs, so no per-process cache could hide a build.
+    def test_serial_campaign_builds_once(self, monkeypatch):
+        calls = self.count_builds(monkeypatch)
+        campaign = run_campaign(campaign_spec(seed=5), n_jobs=1)
+        assert len(calls) == 1
+        assert campaign.complete
+
+    def test_resume_builds_once(self, tmp_path, monkeypatch):
+        directory = tmp_path / "ckpt"
+        full = run_campaign(
+            campaign_spec(seed=6), n_jobs=1, checkpoint_dir=directory
+        )
+        store = CheckpointStore(directory)
+        for index in sorted(store.completed())[::2]:
+            store.cell_path(index).unlink()
+        calls = self.count_builds(monkeypatch)
+        resumed = resume_campaign(directory, n_jobs=1)
+        assert len(calls) == 1
+        assert resumed.cell_results == full.cell_results
+
+    def test_work_items_carry_their_clusters_cells(self):
+        import repro.deploy.runner as runner
+
+        deployment = build_deployment(campaign_spec())
+        for index, cluster in enumerate(deployment.clusters):
+            spec, cells = runner._cluster_item(deployment, index)
+            assert spec is deployment.spec
+            assert [cell.cell_id for cell, _ in cells] == list(cluster)
+            assert [seed for _, seed in cells] == [
+                deployment.cell_sim_seeds[cell_id] for cell_id in cluster
+            ]
+
+
 class TestWorkerFaults:
     def test_crash_retry_is_bit_identical(self, serial_campaign):
         # Every cluster crashes on its first attempt; supervised retries

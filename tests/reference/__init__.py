@@ -13,7 +13,8 @@ so a seeded run equals the engine's field for field; both must reproduce
 ``tests/sim/data/engine_snapshots.json``.  Nothing under ``src/`` imports it.
 
 The control plane's oracles sit beside it: :mod:`tests.reference.measurement`
-(Algorithm 1) and :mod:`tests.reference.blueprint` (gradient repair).
+(Algorithm 1) and :mod:`tests.reference.blueprint` (gradient repair); so
+does :mod:`tests.reference.deploy` (the scalar deployment build).
 """
 
 from __future__ import annotations
