@@ -1,13 +1,14 @@
-"""Scheduler flavours: ms per ``schedule()`` call, scalar vs vectorized.
+"""Scheduler flavours: ms per ``schedule()`` call, scalar oracle vs the
+production schedulers.
 
-The schedulers keep three flavours that must emit identical schedules
-(pinned by ``tests/property/test_property_fastpath.py``):
+Three flavours must emit identical schedules (pinned by
+``tests/property/test_property_fastpath.py``):
 
-* scalar — ``SchedulingContext(vectorized=False)``, the reference;
-* pure-Python vectorized — ``vectorized=True`` with
-  ``REPRO_DISABLE_KERNEL=1``;
-* kernel — ``vectorized=True`` with the compiled kernels: the greedy
-  fill for PF; for speculative BLU the whole greedy walk, over the
+* scalar — the scalar scheduler oracle in ``tests/reference/scheduling.py``
+  (per-candidate utility callables, per-grant rate lookups);
+* pure-Python — the production scheduler with ``REPRO_DISABLE_KERNEL=1``;
+* kernel — the production scheduler with the compiled kernels: the
+  greedy fill for PF; for speculative BLU the whole greedy walk, over the
   compiled service table.
 
 This script runs one seeded cell per shape, records the context of every
@@ -16,7 +17,8 @@ scheduler once per flavour and reports milliseconds per call.  Shapes
 follow the BLU benchmark's ``cell-pf`` (PF, 20 UEs, 20 RBs, M=4) and
 ``cell-blu`` (speculative BLU on the inferred blueprint, 28 UEs, 10 RBs,
 M=4) workloads.  Each speculative flavour prices on a fresh provider of
-the inferred blueprint, so it pays its own service-table misses.
+the inferred blueprint (the oracle on one of its own), so it pays its own
+service-table misses.
 Finally it times the whole ``cell-pf``-sized cell with and without the
 kernel (min of three interleaved runs each).
 
@@ -28,7 +30,12 @@ Usage::
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
+
+# The repository root, for the scheduling oracle in tests/reference/.
+sys.path.insert(0, str(Path(__file__).parent.parent))
 
 from repro.core.controller import BLUPhase
 from repro.core.joint.provider import TopologyJointProvider
@@ -42,6 +49,7 @@ from repro.experiments import (
     build_experiment,
 )
 from repro.sim.config import SimulationConfig
+from tests.reference.scheduling import ScheduleOracle
 
 #: name -> (scheduler kind, UEs, hidden terminals, RBs, antennas, subframes)
 SHAPES = {
@@ -123,18 +131,26 @@ def capture(name: str, calls: int):
     ), recorded
 
 
-def time_flavour(factory, recorded, vectorized: bool, kernel: bool) -> float:
-    """Milliseconds per call over the recorded contexts (fresh scheduler)."""
-    contexts = [
-        SchedulingContext(**fields, vectorized=vectorized) for fields in recorded
-    ]
+def time_flavour(factory, recorded, flavour: str) -> float:
+    """Milliseconds per call over the recorded contexts (fresh scheduler).
+
+    ``flavour`` is ``"scalar"`` (the oracle), ``"pure"`` or ``"kernel"``.
+    """
+    contexts = [SchedulingContext(**fields) for fields in recorded]
     scheduler = factory()
-    if not kernel:
+    schedule = scheduler.schedule
+    if flavour == "scalar":
+        oracle = ScheduleOracle()
+
+        def schedule(context):
+            return oracle.schedule(scheduler, context)
+
+    if flavour != "kernel":
         os.environ["REPRO_DISABLE_KERNEL"] = "1"
     try:
         start = time.perf_counter()
         for context in contexts:
-            scheduler.schedule(context)
+            schedule(context)
         elapsed = time.perf_counter() - start
     finally:
         os.environ.pop("REPRO_DISABLE_KERNEL", None)
@@ -157,14 +173,14 @@ def main() -> None:
     print(f"kernel available: {kernel_available()}")
     for name in SHAPES:
         factory, recorded = capture(name, CALLS)
-        scalar = time_flavour(factory, recorded, vectorized=False, kernel=False)
-        pure = time_flavour(factory, recorded, vectorized=True, kernel=False)
+        scalar = time_flavour(factory, recorded, "scalar")
+        pure = time_flavour(factory, recorded, "pure")
         line = (
             f"{name}: {len(recorded)} calls, ms/call scalar {scalar:.3f}  "
             f"pure-python {pure:.3f}"
         )
         if kernel_available():
-            kernel = time_flavour(factory, recorded, True, kernel=True)
+            kernel = time_flavour(factory, recorded, "kernel")
             line += f"  kernel {kernel:.3f}"
         print(line)
     time_cell(kernel=True)  # warm-up: kernel build, first-call costs

@@ -4,7 +4,7 @@ Unlicensed Spectrum (CoNEXT 2017), reproduced as a Python library.
 Layers:
 
 * ``repro.lte`` — the LTE substrate: frame structure, CQI/MCS rates,
-  fading channels, UE/eNB node models, pilots, MU-MIMO reception.
+  fading channels, the eNB node model, pilots, MU-MIMO reception.
 * ``repro.spectrum`` — the unlicensed medium: CCA/sensing models, WiFi
   hidden terminals (CSMA/CA, traffic, rate adaptation), activity processes.
 * ``repro.topology`` — geometry, the interference graph ``(h, q, Z)``,

@@ -1,7 +1,7 @@
 """Uplink schedulers: PF baseline, access-aware, BLU speculative, extras."""
 
 from repro.core.scheduling.access_aware import AccessAwareScheduler
-from repro.core.scheduling.base import UplinkScheduler, build_schedule, greedy_group
+from repro.core.scheduling.base import UplinkScheduler
 from repro.core.scheduling.channels import (
     BlueprintChannelAssigner,
     ChannelAssigner,
@@ -33,8 +33,6 @@ __all__ = [
     "StaticChannelAssigner",
     "UplinkScheduler",
     "build_channel_assigner",
-    "build_schedule",
     "downlink_delivered_bits",
-    "greedy_group",
     "jain_fairness_index",
 ]

@@ -2,7 +2,7 @@
 
 One shared library holds them all:
 
-* ``greedy_fill`` — the vectorized schedule builder's greedy chain scan
+* ``greedy_fill`` — the schedule builder's greedy chain scan
   for linear (PF-family) utilities.  Its cost is not arithmetic but
   *boxing*: the scan (strict ``1e-15`` improvement over a running best,
   ascending id order) must stay a sequential recurrence to keep near-tie
@@ -36,7 +36,7 @@ the last bit (GCC's and clang's defaults both allow that on targets with
 FMA, such as AArch64).  ``-fno-fast-math`` likewise forbids
 reassociation.  x86-64 and AArch64 both evaluate plain double operations
 in binary64, so results are bit-identical to the interpreted paths
-(which themselves match the scalar references).
+(which themselves match the scalar oracle in ``tests/reference/``).
 
 Memory: the service table's buffers (keys, values and the
 ``{capacity, hits, misses, size}`` counters) are numpy arrays owned by

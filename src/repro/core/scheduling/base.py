@@ -2,32 +2,31 @@
 
 All four schedulers (PF, access-aware, speculative, oracle) share the same
 skeleton: walk the RBs of the subframe, greedily grow the client group on
-each RB by the scheduler-specific expected-utility function, and respect the
-control-channel budget of ``K`` distinct clients per subframe.  They differ
-only in how a candidate group is valued and how large it may grow.
+each RB by the scheduler-specific expected-utility function (Eqn. 3), and
+respect the control-channel budget of ``K`` distinct clients per subframe.
+They differ only in how a candidate group is valued and how large it may
+grow.
 
-Two builders implement the skeleton:
+:func:`build_schedule_fast` implements the skeleton: utilities come from
+per-burst weight columns (plain sums for PF-family schedulers, dot products
+of cached service-probability vectors and weight columns for the
+speculative one, via a :class:`StepScorer`), and grant rates from per-burst
+rate columns.  With the compiled kernel loaded, the linear walk runs as
+``greedy_fill`` (see ``_kernel``); otherwise it is interpreted.  The greedy
+scan itself (ascending id order, strict ``1e-15`` improvement over the
+running best) is a sequential recurrence in both, which is what makes
+near-tie behaviour reproducible.
 
-* :func:`build_schedule` (over :func:`greedy_group`) — the scalar
-  reference: per-candidate utility callables, per-grant rate lookups.
-  Schedulers take it on non-vectorized contexts (the reference engine in
-  ``tests/reference/``, the downlink scheduler), and the property suites
-  compare the vectorized builder against it.
-* :func:`build_schedule_fast` — the vectorized flavour: utilities come
-  from per-burst weight columns (plain sums for PF-family schedulers, dot
-  products of cached service-probability vectors and weight columns for
-  the speculative one, via a :class:`StepScorer`), and grant rates from
-  per-burst rate columns.  Selection is *identical* to the scalar builder
-  because every candidate's utility value is produced by the same IEEE
-  operation sequence — the greedy scan itself (ascending id order, strict
-  ``1e-15`` improvement over the running best) stays a sequential Python
-  loop, which is what makes near-tie behaviour reproducible.
+The scalar form of the walk — per-candidate utility callables, per-grant
+rate lookups — is the test oracle in ``tests/reference/scheduling.py``;
+every schedule the reference engine makes is checked against it, grant for
+grant with rate bits included.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -45,12 +44,8 @@ from repro.lte.resources import SubframeSchedule, UplinkGrant
 __all__ = [
     "UplinkScheduler",
     "StepScorer",
-    "greedy_group",
-    "build_schedule",
     "build_schedule_fast",
 ]
-
-GroupUtility = Callable[[Sequence[int]], float]
 
 
 class UplinkScheduler(abc.ABC):
@@ -74,7 +69,8 @@ class StepScorer(abc.ABC):
     every remaining candidate ``c`` (reusing whatever incremental state the
     committed group has built), and ``commit`` extends that state when the
     loop accepts a candidate.  Every returned value must be bit-identical
-    to the scheduler's scalar group-utility for the same candidate group.
+    to the scheduler's scalar group utility for the same candidate group
+    (the oracle's, in ``tests/reference/scheduling.py``).
     """
 
     @abc.abstractmethod
@@ -96,115 +92,6 @@ class StepScorer(abc.ABC):
         """Utility of an arbitrary group (used when the K-budget trims)."""
 
 
-def _greedy_group(
-    candidates: Sequence[int],
-    utility: GroupUtility,
-    max_size: int,
-) -> Tuple[List[int], float]:
-    """Greedy growth returning ``(group, utility_of_group)``."""
-    if max_size < 1:
-        raise SchedulingError(f"max_size must be positive: {max_size}")
-    group: List[int] = []
-    current = 0.0
-    remaining = sorted(set(candidates))
-    while remaining and len(group) < max_size:
-        best_ue: Optional[int] = None
-        best_value = current
-        for ue in remaining:
-            value = utility(group + [ue])
-            if value > best_value + 1e-15:
-                best_ue = ue
-                best_value = value
-        if best_ue is None:
-            break
-        group.append(best_ue)
-        remaining.remove(best_ue)
-        current = best_value
-    return group, current
-
-
-def greedy_group(
-    candidates: Sequence[int],
-    utility: GroupUtility,
-    max_size: int,
-) -> List[int]:
-    """Grow a client group by always adding the best marginal client.
-
-    Mirrors Eqn. 3: starting empty, repeatedly add the client with the
-    largest strictly positive incremental utility; stop when none improves
-    or the size cap is reached.  Deterministic: ties break toward the
-    lowest client id.
-    """
-    return _greedy_group(candidates, utility, max_size)[0]
-
-
-def build_schedule(
-    context: SchedulingContext,
-    rb_utility: Callable[[int, Sequence[int]], float],
-    max_group_size: int,
-    grant_streams: Callable[[int], int],
-    rb_utilities: Optional[Dict[int, float]] = None,
-) -> SubframeSchedule:
-    """Shared RB-walking skeleton (the scalar reference flavour).
-
-    Args:
-        context: the subframe's scheduling context.
-        rb_utility: ``(rb, group) -> expected utility`` for a candidate
-            group on that RB.
-        max_group_size: cap on clients per RB (``M`` for conventional
-            schedulers, ``~2M`` for the speculative one).
-        grant_streams: group size -> stream count the grant's MCS assumes
-            (``min(size, M)``: the largest decodable concurrency).
-        rb_utilities: optional dict the builder fills with the utility of
-            each allocated RB's *admitted* group — the value the greedy
-            loop already computed (recomputed only when the K-budget
-            trimmed the group), so metrics recording need not re-price
-            the burst.
-    """
-    size_cap = min(max_group_size, MAX_ORTHOGONAL_PILOTS)
-    schedule = SubframeSchedule(num_rbs=context.num_rbs)
-    distinct: Set[int] = set()
-    for rb in range(context.num_rbs):
-        if len(distinct) >= context.max_distinct_ues:
-            candidates: Sequence[int] = sorted(distinct)
-        else:
-            candidates = context.ue_ids
-        group, current = _greedy_group(
-            candidates,
-            lambda g, rb=rb: rb_utility(rb, g),
-            size_cap,
-        )
-        # The K-budget must hold for the union across RBs: admit the greedy
-        # order's prefix of newcomers that still fits the budget.
-        allowed_new = context.max_distinct_ues - len(distinct)
-        admitted: List[int] = []
-        new_count = 0
-        for ue in group:
-            if ue in distinct:
-                admitted.append(ue)
-            elif new_count < allowed_new:
-                admitted.append(ue)
-                new_count += 1
-        if rb_utilities is not None and admitted:
-            rb_utilities[rb] = (
-                current
-                if len(admitted) == len(group)
-                else rb_utility(rb, admitted)
-            )
-        streams = grant_streams(len(admitted))
-        for pilot_index, ue in enumerate(admitted):
-            schedule.add_grant(
-                UplinkGrant(
-                    ue_id=ue,
-                    rb=rb,
-                    rate_bps=context.rate_bps(ue, rb, streams),
-                    pilot_index=pilot_index,
-                )
-            )
-            distinct.add(ue)
-    return schedule
-
-
 def _emit_kernel_grants(
     rb_schedules: Dict[int, "RBSchedule"],
     antennas: int,
@@ -222,7 +109,7 @@ def _emit_kernel_grants(
 
     ``rates`` is the unboxed ``(streams, slot, col)`` tensor matching the
     weight slab the kernel scanned; the granted rates are boxed in one
-    vectorized gather over the zero-padded member block (the gather reads
+    fancy-index gather over the zero-padded member block (the gather reads
     each float untouched, and padding entries are sliced away before the
     grants are built).  ``ids`` maps compact slots back to UE ids
     (``None`` when slots already are UE ids).
@@ -432,7 +319,7 @@ def build_schedule_fast(
     scorer: Optional[StepScorer] = None,
     rb_utilities: Optional[Dict[int, float]] = None,
 ) -> SubframeSchedule:
-    """The vectorized RB-walking flavour: same walk, batched valuation.
+    """The RB-walking schedule builder: greedy walk, batched valuation.
 
     Candidate valuation reads a per-burst :class:`BurstTable` instead of
     calling per-candidate utility closures:
@@ -443,8 +330,7 @@ def build_schedule_fast(
     * ``scorer`` — a :class:`StepScorer` for non-linear utilities (the
       speculative scheduler's Eqn. 4 dot products); the table then only
       supplies grant rates;
-    * ``table.rate_row(streams, rb)`` — grant rates, replacing the
-      per-grant ``context.rate_bps`` calls.
+    * ``table.rate_row(streams, rb)`` — grant rates.
 
     Once the ``K`` distinct-client budget saturates, the linear path
     switches to :class:`~repro.core.scheduling.types.CompactColumns` from
@@ -454,12 +340,12 @@ def build_schedule_fast(
 
     All schedulers share the stream-count rule ``min(size, M)`` (floor 1),
     so it is inlined rather than passed in.  Selections and grants are
-    bit-identical to :func:`build_schedule` with the scalar-equivalent
-    utility: the table holds the same IEEE floats the scalar path
-    computes, and the greedy scan is the same sequential recurrence — the
-    acceptance threshold ``best_value + 1e-15`` is hoisted and refreshed
-    only when ``best_value`` changes, which is exactly when the scalar
-    flavour's recomputed bound changes.
+    bit-identical to the scalar oracle's walk with the same utility: the
+    table holds the same IEEE floats the scalar formula computes, and the
+    greedy scan is the same sequential recurrence — the acceptance
+    threshold ``best_value + 1e-15`` is hoisted and refreshed only when
+    ``best_value`` changes, which is exactly when the scalar walk's
+    recomputed bound changes.
     """
     if table is None:
         raise SchedulingError("build_schedule_fast needs a BurstTable")

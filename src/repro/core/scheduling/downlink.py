@@ -31,9 +31,8 @@ class AccessAwareDownlinkScheduler(AccessAwareScheduler):
     Structurally identical to the UL access-aware scheduler — the
     probability that client ``i`` can *use* its grant becomes the
     probability that ``i`` can *hear* its transmission — so it is that
-    scheduler under its own name, on the same scalar and vectorized
-    paths.  It never schedules more than ``M`` streams per RB
-    (over-scheduling transmissions is impossible on DL).
+    scheduler under its own name.  It never schedules more than ``M``
+    streams per RB (over-scheduling transmissions is impossible on DL).
     """
 
     name = "dl-access-aware"

@@ -25,13 +25,14 @@ the paper observes diminishing returns past ``[M, 2M]``.
 
 Eqn. 4 factors into a blueprint-dependent part (the service probabilities,
 fixed while the blueprint is fixed) and a rate-dependent part (the PF
-weights, fresh every burst).  The vectorized flavour exploits exactly that
-split: service probabilities are memoized per group on the provider's
-bitmask tables, PF-weight columns are batched once per burst, and every
-candidate's value replays the scalar reference's operation order, so
-selections stay bit-identical.  With the compiled kernel loaded (and UE
-ids below 64) the whole burst is one ``speculative_fill`` walk over the
-weight slab and the provider's compiled service table, bypassing the
+weights, fresh every burst).  The scheduler exploits exactly that split:
+service probabilities are memoized per group on the provider's bitmask
+tables, PF-weight columns are batched once per burst, and every
+candidate's value replays the operation order of the scalar Eqn. 4 oracle
+(``tests/reference/scheduling.py``), so selections are bit-identical to
+it.  With the compiled kernel loaded (and UE ids below 64) the whole
+burst is one ``speculative_fill`` walk over the weight slab and the
+provider's compiled service table, bypassing the
 :class:`~repro.core.scheduling.base.StepScorer` entirely; otherwise each
 greedy step prices its candidates through ``_JointTensorScorer`` (or
 ``_ServiceMapScorer`` for providers without bitmask tables).
@@ -54,7 +55,6 @@ from repro.core.scheduling.base import (
     UplinkScheduler,
     _emit_kernel_grants,
     _scratch,
-    build_schedule,
     build_schedule_fast,
 )
 from repro.core.scheduling.types import BurstTable, SchedulingContext
@@ -77,7 +77,7 @@ class _JointTensorScorer(StepScorer):
     candidate valuation asks the tables for the extended group's service
     map (one int-keyed dict hit once the group recurs) and accumulates
     ``service · weight`` in committed-group order — the identical float
-    sequence :meth:`expected_group_utility` produces.
+    sequence the scalar Eqn. 4 utility produces.
     """
 
     __slots__ = (
@@ -309,38 +309,11 @@ class SpeculativeScheduler(UplinkScheduler):
             )
         self.provider = provider
         self.overschedule_factor = float(overschedule_factor)
-        #: Schedule calls served by the vectorized flavour — the perf
-        #: harness asserts this is non-zero to catch silent legacy
-        #: fallbacks.
+        #: Schedule calls served (the engine benchmarks read it).
         self.fast_path_schedules = 0
         #: Provider counter values already published to the obs registry.
         self._published_cache_hits = 0
         self._published_cache_misses = 0
-
-    def expected_group_utility(
-        self, context: SchedulingContext, rb: int, group: Sequence[int]
-    ) -> float:
-        """Eqn. 4 for one candidate group on one RB.
-
-        The scalar reference the vectorized scorer is checked against: it
-        re-filters the full pattern table per member, exactly as the
-        original implementation did.
-        """
-        if not group:
-            return 0.0
-        m = context.num_antennas
-        s_cap = min(len(group), m)
-        table = self.provider.pattern_table(frozenset(group))
-        utility = 0.0
-        for ue in group:
-            service_probability = sum(
-                probability
-                for (member, streams), probability in table.items()
-                if member == ue and streams <= m
-            )
-            if service_probability > 0.0:
-                utility += service_probability * context.pf_weight(ue, rb, s_cap)
-        return utility
 
     def schedule(self, context: SchedulingContext) -> SubframeSchedule:
         max_group = max(
@@ -351,34 +324,6 @@ class SpeculativeScheduler(UplinkScheduler):
         rb_utilities: Optional[Dict[int, float]] = (
             {} if registry is not None else None
         )
-
-        if context.vectorized:
-            schedule = self._schedule_fast(context, max_group, rb_utilities)
-        else:
-
-            def utility(rb: int, group: Sequence[int]) -> float:
-                return self.expected_group_utility(context, rb, group)
-
-            schedule = build_schedule(
-                context,
-                rb_utility=utility,
-                max_group_size=max_group,
-                grant_streams=lambda size: max(
-                    min(size, context.num_antennas), 1
-                ),
-                rb_utilities=rb_utilities,
-            )
-        if registry is not None:
-            self._record_metrics(registry, context, schedule, rb_utilities)
-        return schedule
-
-    def _schedule_fast(
-        self,
-        context: SchedulingContext,
-        max_group: int,
-        rb_utilities: Optional[Dict[int, float]],
-    ) -> SubframeSchedule:
-        """The vectorized flavour: batched weights, cached service maps."""
         max_streams = min(context.num_antennas, MAX_ORTHOGONAL_PILOTS)
         table = BurstTable(context, max_streams)
         provider = self.provider
@@ -413,21 +358,21 @@ class SpeculativeScheduler(UplinkScheduler):
                 rb_utilities=rb_utilities,
             )
         self.fast_path_schedules += 1
+        if registry is not None:
+            self._record_metrics(registry, schedule, rb_utilities)
         return schedule
 
     def _record_metrics(
         self,
         registry,
-        context: SchedulingContext,
         schedule: SubframeSchedule,
-        rb_utilities: Optional[Dict[int, float]] = None,
+        rb_utilities: Dict[int, float],
     ) -> None:
         """Observe over-schedule depth and expected utility of one burst.
 
-        The per-RB utilities are the ones the greedy builder already
-        computed (captured through ``rb_utilities``), so enabling metrics
-        no longer re-prices every allocated RB; the scalar recompute
-        remains only as a fallback for callers that bypassed the builders.
+        The per-RB utilities are the ones the greedy walk already computed
+        (both builders fill ``rb_utilities`` for every allocated RB), so
+        metrics never re-price a burst.
         """
         registry.counter(
             "scheduler.schedule_calls",
@@ -445,12 +390,8 @@ class SpeculativeScheduler(UplinkScheduler):
         )
         total = 0.0
         for rb in schedule.allocated_rbs():
-            group = [grant.ue_id for grant in schedule.rb(rb)]
-            depth.observe(len(group))
-            if rb_utilities is not None and rb in rb_utilities:
-                total += rb_utilities[rb]
-            else:
-                total += self.expected_group_utility(context, rb, group)
+            depth.observe(len(schedule.rb(rb)))
+            total += rb_utilities[rb]
         expected.observe(total)
         self._record_cache_metrics(registry)
 

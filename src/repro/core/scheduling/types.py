@@ -60,25 +60,14 @@ class SchedulingContext:
     #: within a grant burst rarely drops a stream (outage becomes the
     #: exception, not the rule).
     link_margin_db: float = 2.0
-    #: When True, ``rate_bps`` reads from a whole-cell rate matrix computed
-    #: in one vectorized pass (bit-identical values); when False it uses
-    #: the original per-(ue, rb) scalar path, which the scalar reference
-    #: engine in ``tests/reference/`` uses.
-    vectorized: bool = True
     #: Optional pre-built dense ``(max_ue_id + 1, num_rbs)`` SINR matrix
     #: whose rows match ``sinr_db`` exactly (the simulation engine hands
     #: over its CSI snapshot directly, skipping the per-UE row copies).
     sinr_matrix: Optional[np.ndarray] = None
-    _rate_cache: Dict[Tuple[int, int, int], float] = field(
-        default_factory=dict, repr=False
-    )
     _sinr_matrix: Optional[np.ndarray] = field(
         default=None, init=False, repr=False
     )
     _rate_matrices: Dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    _pf_weight_matrices: Dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -124,13 +113,13 @@ class SchedulingContext:
         rate_scale: float,
         link_margin_db: float,
     ) -> "SchedulingContext":
-        """Hot-path constructor for the engine's vectorized flavour.
+        """Hot-path constructor for the simulation engine.
 
-        Equivalent to the dataclass constructor with ``vectorized=True``
-        and a pre-built ``sinr_matrix`` (whose presence already skips the
-        per-UE validation), but bypasses the generated ``__init__``
-        machinery; the engine guarantees the invariants the skipped
-        validation would re-check.
+        Equivalent to the dataclass constructor with a pre-built
+        ``sinr_matrix`` (whose presence already skips the per-UE
+        validation), but bypasses the generated ``__init__`` machinery;
+        the engine guarantees the invariants the skipped validation would
+        re-check.
         """
         self = object.__new__(cls)
         self.subframe = subframe
@@ -143,12 +132,9 @@ class SchedulingContext:
         self.clear_ues = clear_ues
         self.rate_scale = rate_scale
         self.link_margin_db = link_margin_db
-        self.vectorized = True
         self.sinr_matrix = sinr_matrix
-        self._rate_cache = {}
         self._sinr_matrix = None
         self._rate_matrices = {}
-        self._pf_weight_matrices = {}
         return self
 
     def _sinr_by_id(self) -> np.ndarray:
@@ -169,9 +155,10 @@ class SchedulingContext:
     def rate_matrix(self, streams: int = 1) -> np.ndarray:
         """All ``r_{i,b}`` at one stream count, as a dense-by-UE-id matrix.
 
-        One vectorized CQI pass over the whole cell; entries are
-        bit-identical to the scalar :meth:`rate_bps` (same SINR arithmetic,
-        same CQI bisection, same scaling order).
+        One array CQI pass over the whole cell, memoized per stream
+        count; entries are bit-identical to the per-entry scalar formula
+        (same SINR arithmetic, same CQI bisection, same scaling order),
+        which the scheduling oracle in ``tests/reference/`` keeps.
         """
         cached = self._rate_matrices.get(streams)
         if cached is None:
@@ -179,16 +166,6 @@ class SchedulingContext:
             shifted = (self._sinr_by_id() + penalty) - self.link_margin_db
             cached = self.rate_scale * mcs.rb_rate_bps_array(shifted)
             self._rate_matrices[streams] = cached
-        return cached
-
-    def pf_weight_matrix(self, streams: int = 1) -> np.ndarray:
-        """All PF marginal utilities ``r_{i,b} / R_i`` as one matrix."""
-        cached = self._pf_weight_matrices.get(streams)
-        if cached is None:
-            rates = self.rate_matrix(streams)
-            averages = self._averages_by_id(rates.shape[0])
-            cached = rates / averages[:, None]
-            self._pf_weight_matrices[streams] = cached
         return cached
 
     def _averages_by_id(self, num_ues: int) -> np.ndarray:
@@ -204,20 +181,8 @@ class SchedulingContext:
         return self._sinr_by_id().shape[0]
 
     def rate_bps(self, ue: int, rb: int, streams: int = 1) -> float:
-        """``r_{i,b}`` at a given concurrent-stream count (memoized)."""
-        key = (ue, rb, streams)
-        cached = self._rate_cache.get(key)
-        if cached is None:
-            if self.vectorized:
-                cached = float(self.rate_matrix(streams)[ue, rb])
-            else:
-                penalty = mumimo_sinr_penalty_db(streams, self.num_antennas)
-                sinr = (
-                    float(self.sinr_db[ue][rb]) + penalty - self.link_margin_db
-                )
-                cached = self.rate_scale * mcs.rb_rate_bps(sinr)
-            self._rate_cache[key] = cached
-        return cached
+        """``r_{i,b}`` at a given concurrent-stream count."""
+        return float(self.rate_matrix(streams)[ue, rb])
 
     def pf_weight(self, ue: int, rb: int, streams: int = 1) -> float:
         """The PF marginal utility ``r_{i,b} / R_i``."""
@@ -236,7 +201,7 @@ class BurstTable:
     The rate-dependent half of the Eqn. 4 factoring, batched: everything
     that depends only on this burst's CSI snapshot — grant rates
     ``r_{i,b,g}`` and PF weights ``r_{i,b,g} / R_i`` for every stream count
-    ``1..max_streams`` — is computed in a few vectorized CQI passes and
+    ``1..max_streams`` — is computed in a few batched CQI passes and
     exposed as plain Python rows (``row[ue_id] -> float``) the greedy scan
     reads at list-indexing speed.
 
@@ -257,8 +222,8 @@ class BurstTable:
       boxing).
 
     Every element is produced by the same IEEE operation sequence as the
-    scalar ``SchedulingContext.pf_weight`` / ``rate_bps`` path, so values
-    are bit-identical: windowing and compaction only change which elements
+    per-entry scalar formula (``rate / max(R_i, 1)``), so values are
+    bit-identical: windowing and compaction only change which elements
     are computed *together*, never the arithmetic on any one element.
 
     ``scale`` and ``offset`` are optional dense per-UE-id vectors applied
@@ -335,7 +300,7 @@ class BurstTable:
         # the budget saturates in about ceil(K / group size) RBs.
         # Correctness does not depend on the guess, only the number of
         # batched passes does (undershooting grows geometrically,
-        # overshooting costs only vectorized arithmetic).
+        # overshooting costs only array arithmetic).
         if num_ues * self._num_rbs <= 600:
             self._window = self._num_rbs
         else:

@@ -1,4 +1,4 @@
-"""LTE substrate: frame structure, rates, channels, UE/eNB node models."""
+"""LTE substrate: frame structure, rates, channels, the eNB node model."""
 
 from repro.lte import consts
 from repro.lte.channel import FadingProcess, PathLossModel, UplinkChannel
@@ -34,7 +34,6 @@ from repro.lte.traffic import (
     TrafficSource,
     UeQueue,
 )
-from repro.lte.ue import UserEquipment
 
 __all__ = [
     "consts",
@@ -61,7 +60,6 @@ __all__ = [
     "UeQueue",
     "UplinkChannel",
     "UplinkGrant",
-    "UserEquipment",
     "assign_pilot_indices",
     "cqi_to_efficiency",
     "effective_rate_bps",

@@ -21,7 +21,7 @@ receiver.  :class:`SubframeReception` wraps the codes; its per-RB
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -439,51 +439,6 @@ class ENodeB:
             for i in segment:
                 codes[i] = _CODE_OF[outcomes[ue_list[i]]]
         return codes
-
-    def receive_subframe(
-        self,
-        subframe: int,
-        schedule: SubframeSchedule,
-        transmitting_ues: Sequence[int],
-        sinr_db_by_ue_rb: Mapping[int, "Mapping[int, float] | np.ndarray"],
-    ) -> SubframeReception:
-        """Decode one uplink subframe (the per-call form of :meth:`decode`).
-
-        Args:
-            subframe: absolute subframe index (for bookkeeping).
-            schedule: the grants issued for this subframe.
-            transmitting_ues: UEs whose CCA passed this subframe.  A UE
-                either transmits on all its grants or none (CCA is per
-                subframe, not per RB — the whole carrier is sensed).
-            sinr_db_by_ue_rb: per-UE instantaneous SINRs, indexable by RB —
-                a ``{rb: sinr_db}`` dict or a per-RB ndarray row.
-
-        Flattens the schedule, gathers each transmitting grant's SINR and
-        runs :meth:`decode`.  A transmitting, non-collided UE without an
-        SINR entry raises :class:`ConfigurationError`.
-        """
-        grants = self.grant_arrays(schedule)
-        transmitting = set(transmitting_ues)
-        transmit = np.fromiter(
-            (ue in transmitting for ue in grants.ue_list),
-            dtype=bool,
-            count=len(grants),
-        )
-        sinr = np.full(len(grants), np.nan)
-        for i in np.flatnonzero(transmit).tolist():
-            try:
-                sinr[i] = sinr_db_by_ue_rb[grants.ue_list[i]][grants.rb_list[i]]
-            except (KeyError, IndexError):
-                pass
-        reception = self.decode(subframe, grants, transmit, sinr)
-        missing = np.isnan(sinr) & transmit
-        missing &= reception.codes != COLLIDED
-        if missing.any():
-            ue = grants.ue_list[int(np.flatnonzero(missing)[0])]
-            raise ConfigurationError(
-                f"no SINR available for transmitting UE {ue}"
-            )
-        return reception
 
     @property
     def txop_success_fraction(self) -> float:

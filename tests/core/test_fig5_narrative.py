@@ -8,8 +8,9 @@ collisions or joint blocking (TxOP 2: clients 5, 2 blocked together by H3,
 1 and 5 colliding).
 
 These tests pin that reasoning in the speculative scheduler's utility
-function: given the joint access distribution, the good pairing must score
-higher than the bad ones, and the greedy group builder must choose it.
+function (its scalar Eqn. 4 form in ``tests/reference/scheduling.py``):
+given the joint access distribution, the good pairing must score higher
+than the bad ones, and the greedy group builder must choose it.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from repro.core.joint.provider import TopologyJointProvider
 from repro.core.scheduling.speculative import SpeculativeScheduler
 from repro.topology.scenarios import fig1_topology
 from tests.conftest import make_context
+from tests.reference.scheduling import expected_group_utility
 
 
 @pytest.fixture
@@ -34,28 +36,28 @@ def setup():
 
 class TestFig5Reasoning:
     def test_diverse_pairing_beats_shared_terminal_pairing(self, setup):
-        _, _, scheduler, context = setup
+        _, provider, _, context = setup
         # Clients 0 and 2: different terminals (H1 vs H2) — the TxOP 1 win.
-        diverse = scheduler.expected_group_utility(context, 0, [0, 2])
+        diverse = expected_group_utility(provider, context, 0, [0, 2])
         # Clients 4 and 5: both silenced by H3 — blocked together, clear
         # together (collision): the TxOP 2 failure.
-        shared = scheduler.expected_group_utility(context, 0, [4, 5])
+        shared = expected_group_utility(provider, context, 0, [4, 5])
         assert diverse > shared
 
     def test_shared_terminal_pairing_is_worse_than_singleton(self, setup):
-        _, _, scheduler, context = setup
-        singleton = scheduler.expected_group_utility(context, 0, [4])
-        shared = scheduler.expected_group_utility(context, 0, [4, 5])
+        _, provider, _, context = setup
+        singleton = expected_group_utility(provider, context, 0, [4])
+        shared = expected_group_utility(provider, context, 0, [4, 5])
         # Clients that always clear together can only collide: pairing them
         # is strictly worse than scheduling one alone.
         assert shared < singleton
 
     def test_pairing_with_clean_client_collides(self, setup):
-        _, _, scheduler, context = setup
+        _, provider, _, context = setup
         # Client 6 is interference-free (p=1): whenever its partner clears,
         # they collide; the pair can never beat client 6 alone.
-        alone = scheduler.expected_group_utility(context, 0, [6])
-        paired = scheduler.expected_group_utility(context, 0, [6, 0])
+        alone = expected_group_utility(provider, context, 0, [6])
+        paired = expected_group_utility(provider, context, 0, [6, 0])
         assert paired < alone
 
     def test_greedy_group_picks_interference_diverse_partner(self, setup):

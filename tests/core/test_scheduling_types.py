@@ -100,7 +100,7 @@ class TestSchedulingContext:
         context = make_context()
         first = context.rate_bps(0, 0, 1)
         assert context.rate_bps(0, 0, 1) == first
-        assert (0, 0, 1) in context._rate_cache
+        assert 1 in context._rate_matrices
 
 
 class TestPfAverageTracker:

@@ -1,14 +1,14 @@
-"""Property: the vectorized schedule flavour is bit-identical to the scalar
-reference — with and without the compiled greedy kernel.
+"""Property: the schedulers are bit-identical to the scalar oracle — with
+and without the compiled greedy kernel.
 
-The fast path's whole contract is that batching (per-burst weight tensors,
+The schedulers' whole contract is that batching (per-burst weight tensors,
 RB windows, candidate compaction, the C greedy kernel) changes *how fast*
 schedules are produced, never *which* schedules.  These properties drive
 every scheduler over randomized topologies, channels, antenna counts,
 distinct-client budgets, and overschedule factors, and require the scalar
-flavour, the pure-Python fast flavour, and the kernel-backed fast flavour
-to emit equal :class:`SubframeSchedule` objects (grant-for-grant, rate
-bits included)."""
+oracle (``tests/reference/scheduling.py``), the pure-Python flavour, and
+the kernel-backed flavour to emit equal :class:`SubframeSchedule` objects
+(grant-for-grant, rate bits included)."""
 
 import os
 from contextlib import nullcontext
@@ -28,6 +28,7 @@ from repro.core.scheduling.speculative import SpeculativeScheduler
 from repro.core.scheduling.types import SchedulingContext
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.topology.graph import InterferenceTopology
+from tests.reference.scheduling import ScheduleOracle
 
 
 @st.composite
@@ -82,7 +83,7 @@ def scenario_params(draw):
     }
 
 
-def make_context(params, vectorized):
+def make_context(params):
     return SchedulingContext(
         subframe=0,
         num_rbs=params["num_rbs"],
@@ -93,7 +94,6 @@ def make_context(params, vectorized):
         max_distinct_ues=params["max_distinct_ues"],
         clear_ues=params["clear"],
         rate_scale=params["rate_scale"],
-        vectorized=vectorized,
     )
 
 
@@ -112,22 +112,21 @@ def schedulers_for(params):
 
 
 def run_flavours(make_scheduler, params):
-    """(scalar, fast-pure-python, fast-kernel-if-available) schedules.
+    """(scalar oracle, pure-python, kernel-if-available) schedules.
 
     Fresh scheduler and context instances per flavour keep memoized state
-    from leaking between them — each run prices the subframe from scratch.
+    from leaking between them — each run prices the subframe from scratch
+    (the oracle on providers of its own).
     """
-    scalar = make_scheduler().schedule(make_context(params, vectorized=False))
+    scalar = ScheduleOracle().schedule(make_scheduler(), make_context(params))
     os.environ["REPRO_DISABLE_KERNEL"] = "1"
     try:
-        pure = make_scheduler().schedule(make_context(params, vectorized=True))
+        pure = make_scheduler().schedule(make_context(params))
     finally:
         os.environ.pop("REPRO_DISABLE_KERNEL", None)
     kernel = None
     if kernel_available():
-        kernel = make_scheduler().schedule(
-            make_context(params, vectorized=True)
-        )
+        kernel = make_scheduler().schedule(make_context(params))
     return scalar, pure, kernel
 
 
@@ -243,9 +242,9 @@ def run_bursts(case, disable_kernel):
         captured = []
         record = scheduler._record_metrics
 
-        def spy(registry, context, schedule, rb_utilities=None):
+        def spy(registry, schedule, rb_utilities):
             captured.append(dict(rb_utilities))
-            record(registry, context, schedule, rb_utilities)
+            record(registry, schedule, rb_utilities)
 
         scheduler._record_metrics = spy
         trace = []
@@ -264,7 +263,6 @@ def run_bursts(case, disable_kernel):
                     sinr_db=burst["sinr"],
                     avg_throughput_bps=burst["avgs"],
                     max_distinct_ues=burst["max_distinct_ues"],
-                    vectorized=True,
                 )
                 schedule = scheduler.schedule(context)
                 trace.append(

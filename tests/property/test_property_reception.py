@@ -24,7 +24,7 @@ from repro.lte.noma import receive_rb_sic
 from repro.lte.phy import mumimo_sinr_penalty_db, receive_rb
 from repro.lte.pilots import MAX_ORTHOGONAL_PILOTS
 from repro.lte.resources import SubframeSchedule
-from tests.reference import legacy_classify_subframe
+from tests.reference import legacy_classify_subframe, receive_subframe
 
 _THRESHOLDS = mcs._CQI_SINR_THRESHOLDS_DB
 
@@ -122,7 +122,7 @@ def test_array_decode_matches_per_rb_receiver(case):
     sinr_rows = {ue: sinr[ue] for ue in range(sinr.shape[0])}
     for reception in (
         engine_decode(enb, schedule, sinr, transmitting),
-        enb.receive_subframe(0, schedule, sorted(transmitting), sinr_rows),
+        receive_subframe(enb, 0, schedule, sorted(transmitting), sinr_rows),
     ):
         grants = reception.grants
         codes = reception.codes.tolist()

@@ -15,6 +15,7 @@ from repro.core.scheduling.types import SchedulingContext
 from repro.lte.enb import ENodeB
 from repro.lte.pilots import MAX_ORTHOGONAL_PILOTS
 from tests.property.test_property_topology import topologies
+from tests.reference import receive_subframe
 
 
 @st.composite
@@ -117,7 +118,7 @@ def test_reception_conserves_grants(context, data):
         u: {rb: float(context.sinr_db[u][rb]) for rb in range(context.num_rbs)}
         for u in scheduled
     }
-    reception = enb.receive_subframe(0, schedule, transmitting, sinr_map)
+    reception = receive_subframe(enb, 0, schedule, transmitting, sinr_map)
     outcome_count = sum(
         len(r.outcomes) for r in reception.rb_receptions.values()
     )

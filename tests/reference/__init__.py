@@ -5,12 +5,18 @@ It keeps the scalar formulation the array-native
 :class:`~repro.lte.channel.UplinkChannel` objects with dict CSI, per-terminal
 activity stepping with edge-set intersection, the generic per-RB receiver
 (:func:`repro.lte.phy.receive_rb` / :func:`repro.lte.noma.receive_rb_sic`)
-with object-walking outcome accounting, HARQ and pilot classification, and
-the scalar ``SchedulingContext(vectorized=False)`` scheduler flavour.
+with object-walking outcome accounting, and HARQ and pilot classification.
 It draws the same random numbers in the same order (the parent generator
 seeds the default activity processes, then each UE channel, then the eNB),
 so a seeded run equals the engine's field for field; both must reproduce
 ``tests/sim/data/engine_snapshots.json``.  Nothing under ``src/`` imports it.
+
+It runs the production schedulers, but its schedule stage checks every
+``schedule()`` call they make against the scalar scheduler oracle
+(:mod:`tests.reference.scheduling`), grant for grant with rate bits
+included; by induction over subframes, a run that passes is the run the
+scalar scheduler flavour would have made.  ``oracle.checked`` counts the
+calls compared.
 
 The control plane's oracles sit beside it: :mod:`tests.reference.measurement`
 (Algorithm 1) and :mod:`tests.reference.blueprint` (gradient repair); so
@@ -26,17 +32,20 @@ import numpy as np
 
 from repro.core.measurement.classifier import AccessObservation
 from repro.core.scheduling.types import SchedulingContext
+from repro.errors import ConfigurationError
 from repro.lte import consts, mcs, noma, phy
 from repro.lte.channel import UplinkChannel
-from repro.lte.enb import ENodeB
+from repro.lte.enb import COLLIDED, ENodeB, SubframeReception
 from repro.lte.phy import GrantOutcome, RBReception
 from repro.sim import stages
 from repro.sim.engine import CellSimulation
+from tests.reference.scheduling import ScheduleOracle, checked_schedules
 
 __all__ = [
     "ObjectReception",
     "ReferenceCellSimulation",
     "legacy_classify_subframe",
+    "receive_subframe",
     "reference_simulation",
 ]
 
@@ -75,6 +84,43 @@ class ObjectReception:
 
     subframe: int
     rb_receptions: Dict[int, RBReception] = field(default_factory=dict)
+
+
+def receive_subframe(
+    enb: ENodeB,
+    subframe: int,
+    schedule,
+    transmitting_ues,
+    sinr_db_by_ue_rb,
+) -> SubframeReception:
+    """Decode one uplink subframe through ``enb``'s array decode.
+
+    ``transmitting_ues`` are the UEs whose CCA passed; ``sinr_db_by_ue_rb``
+    maps each UE to its per-RB SINRs (a ``{rb: sinr_db}`` dict or a per-RB
+    row).  Flattens the schedule, gathers each transmitting grant's SINR
+    and runs :meth:`ENodeB.decode`.  A transmitting, non-collided UE
+    without an SINR entry raises :class:`ConfigurationError`.
+    """
+    grants = enb.grant_arrays(schedule)
+    transmitting = set(transmitting_ues)
+    transmit = np.fromiter(
+        (ue in transmitting for ue in grants.ue_list),
+        dtype=bool,
+        count=len(grants),
+    )
+    sinr = np.full(len(grants), np.nan)
+    for i in np.flatnonzero(transmit).tolist():
+        try:
+            sinr[i] = sinr_db_by_ue_rb[grants.ue_list[i]][grants.rb_list[i]]
+        except (KeyError, IndexError):
+            pass
+    reception = enb.decode(subframe, grants, transmit, sinr)
+    missing = np.isnan(sinr) & transmit
+    missing &= reception.codes != COLLIDED
+    if missing.any():
+        ue = grants.ue_list[int(np.flatnonzero(missing)[0])]
+        raise ConfigurationError(f"no SINR available for transmitting UE {ue}")
+    return reception
 
 
 class ReferenceENodeB(ENodeB):
@@ -223,6 +269,15 @@ class LegacyChannelStage(stages.ChannelStage):
         )
 
 
+class CheckedScheduleStage(stages.ScheduleStage):
+    """The production schedule stage, each ``schedule()`` call it makes
+    checked against the simulation's scalar oracle."""
+
+    def run(self, sim, ctx) -> None:
+        with checked_schedules(sim.oracle):
+            super().run(sim, ctx)
+
+
 class LegacyTransmitDecodeStage(stages.TransmitDecodeStage):
     """The per-RB receiver, then one pass over the reception objects for
     the outcome counters and raw delivered bits."""
@@ -310,7 +365,8 @@ class LegacyHarqFeedbackStage(stages.HarqFeedbackStage):
 class ReferenceCellSimulation(CellSimulation):
     """:class:`CellSimulation` on the scalar substrate (same arguments;
     ``seed`` is an int or ``None``).  The scalar channels, receiver and
-    stages replace what the production constructor built."""
+    stages replace what the production constructor built; ``oracle``
+    checks the scheduler's calls."""
 
     def __init__(self, topology, mean_snr_db, scheduler, config=None, *,
                  seed=None, **kwargs) -> None:
@@ -333,13 +389,14 @@ class ReferenceCellSimulation(CellSimulation):
         # Same eNB state and RNG stream; only the receiver differs.
         self.enb.__class__ = ReferenceENodeB
         self._ue_edges = topology.ue_edge_map()
+        self.oracle = ScheduleOracle()
         self.pipeline = stages.SubframePipeline(
             [
                 stages.TimelineStage(),
                 LegacyInterferenceStage(),
                 LegacyChannelStage(),
                 stages.ArrivalStage(),
-                stages.ScheduleStage(),
+                CheckedScheduleStage(),
                 LegacyTransmitDecodeStage(),
                 LegacyHarqFeedbackStage(),
             ],
@@ -366,7 +423,6 @@ class ReferenceCellSimulation(CellSimulation):
             clear_ues=frozenset(ue for ue in ues if ue not in silenced),
             rate_scale=float(self.config.rb_group_size),
             link_margin_db=self.config.link_margin_db,
-            vectorized=False,
         )
 
 

@@ -206,11 +206,16 @@ class TestArrayReception:
 
     def test_receive_subframe_wraps_the_array_decode(self):
         from repro.lte.enb import ENodeB, SubframeReception
+        from repro.lte.resources import SubframeSchedule, UplinkGrant
+        from tests.reference import receive_subframe
 
-        assert inspect.signature(ENodeB.receive_subframe).return_annotation in (
-            SubframeReception,
-            "SubframeReception",
+        assert not hasattr(ENodeB, "receive_subframe")
+        schedule = SubframeSchedule(num_rbs=1)
+        schedule.add_grant(UplinkGrant(ue_id=0, rb=0, rate_bps=1e5))
+        reception = receive_subframe(
+            ENodeB(num_antennas=1, num_rbs=1), 0, schedule, [0], {0: [25.0]}
         )
+        assert isinstance(reception, SubframeReception)
         assert isinstance(
             inspect.getattr_static(SubframeReception, "rb_receptions"), property
         )
