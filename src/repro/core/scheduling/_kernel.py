@@ -1,6 +1,7 @@
-"""Compiled kernels for the schedulers' interpreter-bound loops.
+"""Compiled kernels for the simulator's interpreter-bound loops.
 
-One shared library holds them all:
+One shared library holds them all, the schedulers' and the channel
+bank's:
 
 * ``greedy_fill`` — the schedule builder's greedy chain scan
   for linear (PF-family) utilities.  Its cost is not arithmetic but
@@ -22,6 +23,13 @@ One shared library holds them all:
   run ``joint_service`` (Eqn. 4's ``Σ_{s≤M} π[(i, s)]``: footprint
   products, the blocked-set convolution and the per-member fold, a few
   hundred float operations per group) straight into the entry.
+* ``fading_block`` — the AR(1) Rayleigh recurrence of
+  :class:`~repro.lte.channel.UplinkChannelBank` over one whole
+  innovation block (``h = rho * h + c * e`` per UE, then per step), in
+  place over the bank's buffers.  Per subframe, numpy would spend a
+  handful of dispatches on a ``(num_ues, num_rbs)`` array; here the
+  block is one call.  The innovations' complex division and
+  ``|h|^2``/``log10`` stay in numpy (see the bank).
 
 Bit-exactness: each kernel performs exactly the IEEE-754 binary64
 operations its Python form performs, in the same order — ``greedy_fill``
@@ -29,7 +37,8 @@ only double additions and strict ``>`` compares; ``speculative_fill``
 ``total + p * w`` per member in commit order, skipping ``p <= 0``;
 ``joint_service`` the footprint products, ``prob + p * x`` convolution
 updates and the partial sums, keyed by local bit codes whose insertion
-order replays the Python dicts'.  Products feed sums in one expression,
+order replays the Python dicts'; ``fading_block`` ``rho * h + c * e``
+per real component.  Products feed sums in one expression,
 so ``-ffp-contract=off`` is load-bearing: without it a compiler may fuse
 ``a + p * x`` into one FMA, rounding once instead of twice and changing
 the last bit (GCC's and clang's defaults both allow that on targets with
@@ -43,9 +52,12 @@ Memory: the service table's buffers (keys, values and the
 the Python caller, handed over as one :class:`ServiceTable` descriptor
 of pointers.  The caller also grows them (``joint_rehash`` into doubled
 buffers) before a walk could need more room; the kernels only read and
-write through the pointers they are handed.  All other scratch state
-lives on the stack — there are no static buffers, so concurrent callers
-never share state.
+write through the pointers they are handed — ``fading_block`` likewise
+writes only into the bank's state and block buffers.  All other scratch
+state lives on the stack — there are no static buffers, so concurrent
+callers never share state.  ``REPRO_KERNEL_SANITIZE=1`` builds the
+library with AddressSanitizer and UBSan to check exactly that (load it
+with the ASan runtime preloaded).
 
 The library is optional infrastructure, never a correctness dependency:
 
@@ -54,7 +66,8 @@ The library is optional infrastructure, never a correctness dependency:
   hash of the source (concurrent builds race safely via atomic rename);
 * any failure — no compiler, compile error, unloadable object — degrades
   to ``kernel() is None`` and callers keep the pure-Python greedy scan,
-  Eqn. 4 step scorer and joint-service walk; the failure is reported once
+  Eqn. 4 step scorer and joint-service walk, and the channel bank steps
+  its block row by row in numpy; the failure is reported once
   per process as a :class:`RuntimeWarning` naming the compiler and the
   tail of its error output, because the fallback changes speed (never
   results);
@@ -683,9 +696,66 @@ int64_t speculative_fill(
     }
     return max_new;
 }
+
+/* The channel bank's AR(1) Rayleigh recurrence over one innovation block,
+ * per UE and then per step (UplinkChannelBank in lte/channel.py).
+ *
+ * h      : (n_ues, n_rbs) complex state as interleaved (re, im) doubles;
+ *          the state before the block on entry, after its last step on
+ *          return.
+ * block  : (n_steps, n_ues, n_rbs) complex innovations on entry; on
+ *          return, the state after each step.
+ * rho, c : the AR(1) coefficient and sqrt(1 - rho^2).
+ *
+ * Returns 0, or -1 on negative sizes.
+ *
+ * Each component takes h = rho * h + c * e: two rounded products and one
+ * rounded sum, as numpy's complex `rho * h + c * e` does (there the real
+ * scalars' zero imaginary parts contribute only signed zeros).
+ */
+int64_t fading_block(
+    double *h,
+    double *block,
+    int64_t n_ues,
+    int64_t n_steps,
+    int64_t n_rbs,
+    double rho,
+    double c)
+{
+    int64_t width = 2 * n_rbs, u, t, k;
+    if (n_ues < 0 || n_steps < 0 || n_rbs < 0)
+        return -1;
+    for (u = 0; u < n_ues; u++) {
+        double *state = h + u * width;
+        for (t = 0; t < n_steps; t++) {
+            double *row = block + (t * n_ues + u) * width;
+            for (k = 0; k < width; k++) {
+                state[k] = rho * state[k] + c * row[k];
+                row[k] = state[k];
+            }
+        }
+    }
+    return 0;
+}
 """
 
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
+#: ``REPRO_KERNEL_SANITIZE=1`` builds with AddressSanitizer and UBSan.  The
+#: instrumented library only loads with the ASan runtime preloaded
+#: (``LD_PRELOAD=libasan.so``); without it the interpreter aborts instead
+#: of falling back, so the build is opt-in.
+_SANITIZE_CFLAGS = [
+    "-O1",
+    "-g",
+    "-fsanitize=address,undefined",
+    "-fno-sanitize-recover=all",
+]
+
+
+def _cflags() -> list:
+    if os.environ.get("REPRO_KERNEL_SANITIZE"):
+        return _CFLAGS + _SANITIZE_CFLAGS
+    return _CFLAGS
 
 _kernel: Optional[ctypes.CDLL] = None
 _kernel_tried = False
@@ -693,7 +763,7 @@ _kernel_tried = False
 
 def _cache_path() -> str:
     digest = hashlib.sha256(
-        (_C_SOURCE + " ".join(_CFLAGS)).encode()
+        (_C_SOURCE + " ".join(_cflags())).encode()
     ).hexdigest()[:16]
     suffix = ".dll" if sys.platform == "win32" else ".so"
     return os.path.join(
@@ -711,7 +781,7 @@ def _build(path: str) -> Optional[str]:
         with open(source, "w") as handle:
             handle.write(_C_SOURCE)
         subprocess.run(
-            [compiler, *_CFLAGS, "-o", built, source],
+            [compiler, *_cflags(), "-o", built, source],
             check=True,
             capture_output=True,
             timeout=120,
@@ -740,10 +810,10 @@ def _build(path: str) -> Optional[str]:
 
 def _fall_back(reason: str) -> None:
     warnings.warn(
-        "compiled scheduling kernels (greedy_fill, speculative_fill, "
-        f"joint_service) unavailable ({reason}); using the pure-Python "
-        "greedy scan, Eqn. 4 step scorer and joint-service walk (same "
-        "results, slower)",
+        "compiled kernels (greedy_fill, speculative_fill, joint_service, "
+        f"fading_block) unavailable ({reason}); using the pure-Python "
+        "greedy scan, Eqn. 4 step scorer and joint-service walk, and the "
+        "channel bank's per-step numpy recurrence (same results, slower)",
         RuntimeWarning,
         stacklevel=4,
     )
@@ -778,6 +848,11 @@ def _load() -> Optional[ctypes.CDLL]:
     _bind(lib.joint_lookup, ptr, u64, i64)
     # from table, its capacity, to table, its capacity
     _bind(lib.joint_rehash, ptr, i64, ptr, i64)
+    # h, block, n_ues, n_steps, n_rbs, rho, c
+    _bind(
+        lib.fading_block, ptr, ptr, i64, i64, i64,
+        ctypes.c_double, ctypes.c_double,
+    )
     return lib
 
 

@@ -5,6 +5,12 @@ from WARP UEs.  Here the equivalent substrate is a per-(UE, RB) block-fading
 process: a log-distance path-loss mean plus an AR(1)-correlated Rayleigh
 fading term, sampled once per subframe.  The eNB observes the resulting SINR
 (perfect CSI at the receiver, as with the decoded WARP subframes).
+
+:class:`UplinkChannel` is one UE's link, stepped per subframe — the scalar
+form, and the oracle for :class:`UplinkChannelBank`, which holds a whole
+cell's links and computes their fading a 128-subframe innovation block at
+a time (the AR(1) recurrence runs in the compiled kernel library when it
+is available), so that a subframe step is a row lookup plus the mean.
 """
 
 from __future__ import annotations
@@ -146,18 +152,49 @@ class UplinkChannel:
         return self.mean_rx_power_dbm - self.noise_floor_dbm
 
 
+def _fading_block_kernel():
+    """The compiled block recurrence, or ``None`` without the kernel
+    library.  Imported on first use, so that loading ``repro.lte`` does
+    not load the scheduling package."""
+    from repro.core.scheduling._kernel import kernel
+
+    lib = kernel()
+    return None if lib is None else lib.fading_block
+
+
+def _fading_rows(
+    h: np.ndarray, states: np.ndarray, rho: float, c: float
+) -> None:
+    """``fading_block`` in numpy, one step at a time: the same binary64
+    products and sums, so the same bits."""
+    for t in range(states.shape[0]):
+        h[...] = rho * h + c * states[t]
+        states[t] = h
+
+
 class UplinkChannelBank:
     """All UE uplink channels of one cell as a single batched process.
 
     Semantically ``num_ues`` independent :class:`UplinkChannel` instances —
     same AR(1) Rayleigh model, same per-UE RNG streams (each UE's generator
     is spawned from the parent in UE order, exactly like the per-object
-    construction) — but stepped as one ``(num_ues, num_rbs)`` array op per
-    subframe.  Innovations are pre-drawn in blocks per UE; because batched
-    ``standard_normal`` draws consume the stream identically to scalar
-    draws, a bank run is bit-for-bit identical to an object-per-UE run
-    under the same seed (``tests/sim/test_fast_path_equivalence.py``
-    asserts this, and the scalar reference engine relies on it).
+    construction), same mean-power arithmetic — but computed a whole
+    innovation block (``_BLOCK_SUBFRAMES`` subframes) at a time.  A refill
+    draws each UE's block of normals (batched ``standard_normal`` draws
+    consume the stream identically to scalar draws), forms the complex
+    innovations, runs the AR(1) recurrence over the block per UE and then
+    per step — in the compiled kernel library (``fading_block``), or row
+    by row in numpy without it — and converts the states to fading dB.
+    A :meth:`step` is then one row view plus the mean: a bank run is bit
+    for bit an object-per-UE run under the same seed
+    (``tests/property/test_property_channel_bank.py`` and
+    ``tests/sim/test_fast_path_equivalence.py`` assert this, and the
+    scalar reference engine relies on it).
+
+    Two steps must stay numpy's to keep those bits: the innovations'
+    complex division by ``sqrt(2)`` (numpy multiplies by a reciprocal,
+    unlike a per-component division) and ``np.abs(h) ** 2`` (a ``hypot``,
+    unlike ``re**2 + im**2``).
     """
 
     _BLOCK_SUBFRAMES = 128
@@ -176,7 +213,7 @@ class UplinkChannelBank:
             )
         if num_rbs < 1:
             raise ConfigurationError(f"num_rbs must be positive: {num_rbs}")
-        mean_rx = np.asarray(mean_rx_power_dbm, dtype=float)
+        mean_rx = np.array(mean_rx_power_dbm, dtype=float)
         if mean_rx.ndim != 1 or mean_rx.size < 1:
             raise ConfigurationError(
                 f"mean_rx_power_dbm must be a non-empty vector: {mean_rx.shape}"
@@ -185,7 +222,12 @@ class UplinkChannelBank:
         self.num_rbs = int(num_rbs)
         self.rho = float(doppler_coherence)
         self.noise_floor_dbm = float(noise_floor_dbm)
-        self._mean_snr_db = mean_rx - self.noise_floor_dbm
+        self._mean_rx_dbm = mean_rx
+        #: Per-(UE, RB) mean SNR, one row per UE: added to a contiguous
+        #: fading row, it costs less than a broadcast column.
+        self._mean_snr_db = np.repeat(
+            (mean_rx - self.noise_floor_dbm)[:, None], self.num_rbs, axis=1
+        )
         parent = rng if rng is not None else np.random.default_rng()
         # One child generator per UE, spawned in UE order — the same parent
         # stream consumption as building UplinkChannel objects in a loop.
@@ -194,38 +236,68 @@ class UplinkChannelBank:
             for _ in range(self.num_ues)
         ]
         self._h = np.stack([self._draw_initial(r) for r in self._rngs])
-        self._innovations: np.ndarray | None = None
-        self._cursor = 0
-        self._sinr_db = self._compute_sinr(np.abs(self._h) ** 2)
+        #: ``(block, num_ues, num_rbs)`` fading (dB) of the current block,
+        #: step-major so that each subframe's row is contiguous.
+        self._fading_db = np.empty(
+            (self._BLOCK_SUBFRAMES, self.num_ues, self.num_rbs)
+        )
+        self._cursor = self._BLOCK_SUBFRAMES
+        with np.errstate(divide="ignore"):
+            self._fading_row = 10.0 * np.log10(np.abs(self._h) ** 2)
+        self._sinr_db = self._mean_snr_db + self._fading_row
 
     def _draw_initial(self, rng: np.random.Generator) -> np.ndarray:
         real = rng.standard_normal(self.num_rbs)
         imag = rng.standard_normal(self.num_rbs)
         return (real + 1j * imag) / np.sqrt(2.0)
 
-    def _compute_sinr(self, gains: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            fading_db = 10.0 * np.log10(gains)
-        return self._mean_snr_db[:, None] + fading_db
-
     def _refill(self) -> None:
         block = self._BLOCK_SUBFRAMES
-        # Per UE: (block, 2, num_rbs) normals — flattened, that is exactly
-        # the real/imag draw order of `block` successive FadingProcess steps.
-        raw = np.stack(
-            [r.standard_normal((block, 2, self.num_rbs)) for r in self._rngs]
-        )
-        self._innovations = (raw[:, :, 0, :] + 1j * raw[:, :, 1, :]) / np.sqrt(2.0)
+        raw = np.empty((self.num_ues, block, 2, self.num_rbs))
+        for ue, rng in enumerate(self._rngs):
+            # (block, 2, num_rbs) normals: flattened, exactly the real/imag
+            # draw order of `block` successive FadingProcess steps.
+            rng.standard_normal(out=raw[ue])
+        # The innovations (re + 1j * im) / sqrt(2), step-major; the state
+        # recurrence then overwrites them.  Assigning the parts builds the
+        # complex numbers re + 1j * im builds: its extra terms are signed
+        # zeros, which can only flip the sign of a part that is itself
+        # zero, and |h| ignores that.  The division stays numpy's.
+        states = np.empty((block, self.num_ues, self.num_rbs), dtype=complex)
+        states.real = raw[:, :, 0, :].transpose(1, 0, 2)
+        states.imag = raw[:, :, 1, :].transpose(1, 0, 2)
+        np.divide(states, np.sqrt(2.0), out=states)
+        c = np.sqrt(1.0 - self.rho**2)
+        fill = _fading_block_kernel()
+        if fill is None:
+            _fading_rows(self._h, states, self.rho, c)
+        elif fill(
+            self._h.ctypes.data,
+            states.ctypes.data,
+            self.num_ues,
+            block,
+            self.num_rbs,
+            self.rho,
+            c,
+        ):
+            raise RuntimeError("fading_block rejected the bank's sizes")
+        gains = np.abs(states, out=self._fading_db)
+        gains **= 2
+        with np.errstate(divide="ignore"):
+            np.log10(gains, out=gains)
+        gains *= 10.0
         self._cursor = 0
 
     def step(self) -> np.ndarray:
-        """Advance all channels one subframe; return ``(U, R)`` SINRs (dB)."""
-        if self._innovations is None or self._cursor >= self._BLOCK_SUBFRAMES:
+        """Advance all channels one subframe; return ``(U, R)`` SINRs (dB).
+
+        The array is fresh each step and never written to afterwards.
+        """
+        if self._cursor == self._BLOCK_SUBFRAMES:
             self._refill()
-        innovation = self._innovations[:, self._cursor, :]
+        self._fading_row = self._fading_db[self._cursor]
         self._cursor += 1
-        self._h = self.rho * self._h + np.sqrt(1.0 - self.rho**2) * innovation
-        self._sinr_db = self._compute_sinr(np.abs(self._h) ** 2)
+        self._sinr_db = self._mean_snr_db + self._fading_row
         return self._sinr_db
 
     @property
@@ -234,9 +306,12 @@ class UplinkChannelBank:
         return self._sinr_db
 
     def adjust_mean_snr_db(self, ue: int, delta_db: float) -> None:
-        """Shift one UE's mean SNR; RNG state untouched (see
-        :meth:`UplinkChannel.adjust_mean_snr_db`)."""
+        """Shift one UE's mean power; RNG state untouched (see
+        :meth:`UplinkChannel.adjust_mean_snr_db`, whose arithmetic it
+        repeats: the shift lands on the received power, then the noise
+        floor comes off).  The current SINRs become a fresh array."""
         if not 0 <= ue < self.num_ues:
             raise ConfigurationError(f"unknown UE id {ue}")
-        self._mean_snr_db[ue] += float(delta_db)
-        self._sinr_db = self._compute_sinr(np.abs(self._h) ** 2)
+        self._mean_rx_dbm[ue] += float(delta_db)
+        self._mean_snr_db[ue] = self._mean_rx_dbm[ue] - self.noise_floor_dbm
+        self._sinr_db = self._mean_snr_db + self._fading_row

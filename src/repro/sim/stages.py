@@ -10,9 +10,11 @@ apply to the current subframe kind (idle / DL / UL) in order, firing
 
 The medium-facing stages work on whole-cell arrays: interference is a
 boolean reduction over the topology's cached edge matrix, the channels
-step as one :class:`~repro.lte.channel.UplinkChannelBank` array op, and
-the eNB decodes a burst's grants as arrays, with SINRs gathered from the
-bank in one indexing op.  A seeded run must
+step as one :class:`~repro.lte.channel.UplinkChannelBank` row (the bank
+computes each UE's AR(1) fading a 128-subframe block at a time, in the
+compiled kernel library when it is available), and the eNB decodes a
+burst's grants as arrays, with SINRs gathered from the bank in one
+indexing op.  A seeded run must
 reproduce ``tests/sim/data/engine_snapshots.json`` field for field; the
 scalar per-UE reference engine in ``tests/reference/`` is held to the same
 snapshots and checked against this pipeline by the equivalence suites.
@@ -293,15 +295,16 @@ class InterferenceStage(SubframeStage):
 
 
 class ChannelStage(SubframeStage):
-    """Advance every UE's fading channel (one ``(num_ues, num_rbs)`` bank
-    step); snapshot CSI for delayed feedback."""
+    """Advance every UE's fading channel (one bank step: a row of the
+    bank's precomputed fading block plus the mean); keep the step's SINR
+    matrix as the CSI snapshot for delayed feedback.  Each step's matrix
+    is a fresh array that nothing writes to, so it needs no copy."""
 
     name = "channels"
     phase = "channels"
 
     def run(self, sim: "CellSimulation", ctx: SubframeContext) -> None:
-        sim._bank.step()
-        sim._csi_history.append(sim._bank.sinr_db.copy())
+        sim._csi_history.append(sim._bank.step())
 
 
 class ArrivalStage(SubframeStage):

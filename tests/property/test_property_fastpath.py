@@ -26,9 +26,13 @@ from repro.core.scheduling.oracle import OracleScheduler
 from repro.core.scheduling.pf import ProportionalFairScheduler
 from repro.core.scheduling.speculative import SpeculativeScheduler
 from repro.core.scheduling.types import SchedulingContext
+from repro.lte import mcs
+from repro.lte.phy import mumimo_sinr_penalty_db
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.topology.graph import InterferenceTopology
 from tests.reference.scheduling import ScheduleOracle
+
+_THRESHOLDS = mcs._CQI_SINR_THRESHOLDS_DB
 
 
 @st.composite
@@ -83,6 +87,40 @@ def scenario_params(draw):
     }
 
 
+@st.composite
+def cqi_step_params(draw):
+    """A randomized cell whose every SINR ``x`` sits within 1 ulp of a CQI
+    threshold ``T`` shifted by a stream count's MU-MIMO penalty ``p`` and
+    the link margin ``m`` (``x ~ T - p + m``), with two or more antennas
+    and a margin other than zero.  Whether ``(x + p) - m`` reaches ``T``
+    then hangs on the last bit, so a rate computed with the terms
+    reassociated lands on the other side of a CQI step."""
+    params = draw(scenario_params())
+    antennas = draw(st.sampled_from([2, 4, 8]))
+    margin = draw(
+        st.one_of(
+            st.sampled_from([2.0, 0.5, 3.3]),
+            st.floats(min_value=0.1, max_value=6.0),
+        )
+    )
+
+    def near_step():
+        threshold = draw(st.sampled_from(_THRESHOLDS))
+        streams = draw(st.integers(min_value=1, max_value=antennas))
+        target = threshold - mumimo_sinr_penalty_db(streams, antennas) + margin
+        ulps = draw(st.integers(min_value=-1, max_value=1))
+        return float(np.nextafter(target, np.inf * ulps)) if ulps else target
+
+    num_rbs = params["num_rbs"]
+    params["sinr"] = {
+        u: np.array([near_step() for _ in range(num_rbs)])
+        for u in range(params["num_ues"])
+    }
+    params["num_antennas"] = antennas
+    params["link_margin_db"] = margin
+    return params
+
+
 def make_context(params):
     return SchedulingContext(
         subframe=0,
@@ -94,6 +132,7 @@ def make_context(params):
         max_distinct_ues=params["max_distinct_ues"],
         clear_ues=params["clear"],
         rate_scale=params["rate_scale"],
+        link_margin_db=params.get("link_margin_db", 2.0),
     )
 
 
@@ -130,14 +169,26 @@ def run_flavours(make_scheduler, params):
     return scalar, pure, kernel
 
 
-@given(scenario_params())
-@settings(max_examples=50, deadline=None)
-def test_fast_flavours_match_scalar(params):
+def assert_flavours_match(params):
     for name, make_scheduler in schedulers_for(params).items():
         scalar, pure, kernel = run_flavours(make_scheduler, params)
         assert pure == scalar, f"{name}: pure-python fast flavour diverged"
         if kernel is not None:
             assert kernel == scalar, f"{name}: kernel flavour diverged"
+
+
+@given(scenario_params())
+@settings(max_examples=50, deadline=None)
+def test_fast_flavours_match_scalar(params):
+    assert_flavours_match(params)
+
+
+@given(cqi_step_params())
+@settings(max_examples=50, deadline=None)
+def test_rates_on_cqi_steps_match_scalar(params):
+    """Granted rates keep their last-bit SINR arithmetic: on SINRs one ulp
+    from a shifted CQI step, every flavour prices exactly as the oracle."""
+    assert_flavours_match(params)
 
 
 def test_exact_tie_breaks_toward_lowest_id():
