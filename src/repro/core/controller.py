@@ -32,12 +32,13 @@ from repro.core.blueprint.inference import (
 from repro.core.joint.provider import TopologyJointProvider
 from repro.core.measurement.classifier import AccessObservation
 from repro.core.measurement.estimator import AccessEstimator
+from repro.core.measurement.feedback import ScheduledIds
 from repro.core.measurement.pair_scheduler import MeasurementScheduler
 from repro.core.scheduling.base import UplinkScheduler
 from repro.core.scheduling.pf import ProportionalFairScheduler
 from repro.core.scheduling.speculative import SpeculativeScheduler
 from repro.core.scheduling.types import SchedulingContext
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MeasurementError
 from repro.lte.resources import SubframeSchedule, UplinkGrant
 from repro.obs.metrics import active_registry
 from repro.topology.graph import InterferenceTopology
@@ -178,6 +179,9 @@ class BLUController(UplinkScheduler):
         self._pending_measurement_ues: Optional[list] = None
         self._ul_subframes_since_inference = 0
         self.measurement_subframes_used = 0
+        #: The last observation's scheduled ids, kept while a held
+        #: schedule's TxOP hands over the same scheduled set.
+        self._burst_ids: Optional[ScheduledIds] = None
         # Graceful degradation (residual-gated): PF fallback + periodic
         # re-measurement while inference is unhealthy.
         self._fallback = ProportionalFairScheduler()
@@ -364,11 +368,35 @@ class BLUController(UplinkScheduler):
                 return
         self._observe(observation)
 
+    def _record(self, observation: AccessObservation, monitor=None) -> int:
+        """Feed one observation to the estimator (and, given one, a drift
+        monitor in the same pass); returns the monitor's flagged count.
+
+        The scheduled ids are converted once per burst: every UL subframe
+        of a TxOP reports the held schedule's own ``scheduled_set``.
+        """
+        scheduled = observation.scheduled
+        ids = self._burst_ids
+        if (
+            ids is None
+            or ids.source is not scheduled
+            or not isinstance(scheduled, frozenset)
+        ):
+            ids = ScheduledIds(scheduled, self.num_ues, MeasurementError)
+            self._burst_ids = ids
+        flags = ids.accessed_flags(observation.accessed, MeasurementError)
+        return self.estimator.record(ids, flags, monitor)
+
+    def _reinference_due(self) -> bool:
+        """Whether the next SPECULATIVE subframe re-infers on the timer."""
+        interval = self.config.reinfer_interval
+        return (
+            interval > 0 and self._ul_subframes_since_inference + 1 >= interval
+        )
+
     def _observe(self, observation: AccessObservation) -> None:
         """Phase-dispatched handling of one (possibly faulted) report."""
-        self.estimator.record_subframe(
-            scheduled=observation.scheduled, accessed=observation.accessed
-        )
+        self._record(observation)
         if self.phase is BLUPhase.MEASUREMENT:
             self.measurement_scheduler.record(sorted(observation.scheduled))
             self.measurement_subframes_used += 1
@@ -398,9 +426,7 @@ class BLUController(UplinkScheduler):
                     self._infer_and_switch()
             return
 
+        due = self._reinference_due()
         self._ul_subframes_since_inference += 1
-        if (
-            self.config.reinfer_interval > 0
-            and self._ul_subframes_since_inference >= self.config.reinfer_interval
-        ):
+        if due:
             self._infer_and_switch()

@@ -16,9 +16,17 @@ pilot discrimination logic (collision vs fading vs blocking).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet
+from typing import FrozenSet, List, Optional, Tuple
 
-from repro.lte.enb import COLLIDED, DECODED, FADED, SubframeReception
+import numpy as np
+
+from repro.lte.enb import (
+    COLLIDED,
+    DECODED,
+    FADED,
+    GrantArrays,
+    SubframeReception,
+)
 from repro.lte.resources import SubframeSchedule
 
 __all__ = ["AccessObservation", "classify_subframe"]
@@ -55,23 +63,63 @@ def classify_subframe(
     grants collided, else "faded" if one faded.
 
     Reads the reception's per-grant outcome codes; ``reception`` must be
-    the decode of ``schedule``.
+    the decode of ``schedule``.  One ``bincount`` over the keys
+    ``4 * ue + code`` says which codes each UE's grants drew; Python then
+    visits the distinct UEs, never the grants.
     """
     grants = reception.grants
-    by_code = (set(), set(), set(), set())
-    for ue, code in zip(grants.ue_list, reception.codes.tolist()):
-        by_code[code].add(ue)
-    decoded = by_code[DECODED]
-    collided = by_code[COLLIDED] - decoded
-    faded = by_code[FADED] - decoded - collided
-    accessed = decoded | by_code[COLLIDED] | by_code[FADED]
+    _, ues, keys, size = _burst_keys(grants)
+    present = np.bincount(keys + reception.codes, minlength=size).tolist()
+    decoded, collided, faded = [], [], []
+    for ue, key in ues:
+        if present[key + DECODED]:
+            decoded.append(ue)
+        elif present[key + COLLIDED]:
+            collided.append(ue)
+        elif present[key + FADED]:
+            faded.append(ue)
+    decoded = frozenset(decoded)
+    if collided or faded:
+        accessed = decoded.union(collided, faded)
+        collided = frozenset(collided)
+        faded = frozenset(faded)
+    else:
+        accessed = decoded
+        collided = faded = frozenset()
     scheduled = grants.scheduled_set
     return AccessObservation(
         subframe=reception.subframe,
         scheduled=scheduled,
-        accessed=frozenset(accessed),
+        accessed=accessed,
         blocked=scheduled - accessed,
-        collided=frozenset(collided),
-        faded=frozenset(faded),
-        decoded=frozenset(decoded),
+        collided=collided,
+        faded=faded,
+        decoded=decoded,
     )
+
+
+#: The last classified :class:`GrantArrays`; its distinct UEs, ascending,
+#: each with its key base ``4 * ue``; per grant that base; and the key
+#: range.  A held schedule's grants serve every UL subframe of its TxOP,
+#: so these are computed once per burst.  The entry holds its grants
+#: alive, so an identity match is never a recycled object, and the keys
+#: depend on the grants alone: what the entry holds changes how often
+#: the keys are computed, never an observation.
+_last_burst: Tuple[
+    Optional[GrantArrays], List[Tuple[int, int]], np.ndarray, int
+] = (None, [], np.zeros(0, dtype=np.intp), 0)
+
+
+def _burst_keys(grants: GrantArrays):
+    """``_last_burst`` for ``grants``, recomputed when they change."""
+    global _last_burst
+    burst = _last_burst
+    if burst[0] is not grants:
+        ues = sorted(grants.scheduled_set)
+        burst = _last_burst = (
+            grants,
+            [(ue, 4 * ue) for ue in ues],
+            grants.ue * 4,
+            4 * ues[-1] + 4 if ues else 0,
+        )
+    return burst

@@ -14,13 +14,22 @@ log-transformed constraints).
 Both measurement-phase subframes and regular speculative-phase subframes
 feed the same estimator — the paper notes the operational phase implicitly
 keeps measuring.
+
+The counts are dense ``float64`` arrays updated by one pass per subframe
+(:func:`~repro.core.measurement.feedback.access_feedback`, compiled when
+the kernel library is available); the readers return the Python floats
+the dict-based form of this estimator (``tests/reference/measurement.py``,
+the oracle) computes, bit for bit.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from itertools import combinations
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Tuple
+
+import numpy as np
 
 from repro.core.blueprint.transform import (
     TransformedMeasurements,
@@ -28,13 +37,36 @@ from repro.core.blueprint.transform import (
     transform_pairwise,
     transform_triplet,
 )
+from repro.core.measurement.feedback import (
+    ScheduledIds,
+    access_feedback,
+    compiled_feedback,
+    flat_views,
+)
 from repro.errors import MeasurementError
 
 __all__ = ["AccessEstimator"]
 
 
+def _estimate(clear: float, n: float) -> float:
+    """``clear / n`` held half a count off exact 0 and capped at 1: keeps
+    estimates off exact 0/1 where logs blow up."""
+    floor = 0.5 / max(n, 1)
+    return min(max(clear / n, floor), 1.0)
+
+
 class AccessEstimator:
-    """Online estimator of individual and pair-wise access distributions."""
+    """Online estimator of individual and pair-wise access distributions.
+
+    Attributes:
+        n, clear: ``(num_ues,)`` per-client schedule and clear counts.
+        n_pair, clear_pair: ``(num_ues, num_ues)`` joint and both-clear
+            counts; pair ``(i, j)`` with ``i < j`` lives at ``[i, j]`` (the
+            lower triangle stays zero).
+
+    The arrays are the estimator's state — read them, but record through
+    :meth:`record_subframe` or :meth:`record`.
+    """
 
     def __init__(
         self,
@@ -54,6 +86,8 @@ class AccessEstimator:
                 re-inference tracks topology dynamics (Section 3.5's
                 stationarity regime) instead of averaging across regimes.
         """
+        from repro.core.scheduling._kernel import AccessCounts
+
         if num_ues < 1:
             raise MeasurementError(f"need at least one UE: {num_ues}")
         if not 0.0 < decay <= 1.0:
@@ -61,55 +95,70 @@ class AccessEstimator:
         self.num_ues = num_ues
         self.decay = float(decay)
         self.track_triplets = bool(track_triplets)
-        self._n: Dict[int, float] = {i: 0.0 for i in range(num_ues)}
-        self._clear: Dict[int, float] = {i: 0.0 for i in range(num_ues)}
-        self._n_pair: Dict[Tuple[int, int], float] = {
-            pair: 0.0 for pair in combinations(range(num_ues), 2)
-        }
-        self._clear_pair: Dict[Tuple[int, int], float] = {
-            pair: 0.0 for pair in combinations(range(num_ues), 2)
-        }
+        self.n = np.zeros(num_ues)
+        self.clear = np.zeros(num_ues)
+        self.n_pair = np.zeros((num_ues, num_ues))
+        self.clear_pair = np.zeros((num_ues, num_ues))
+        #: The pairs' positions, ``i < j`` in ``combinations`` order.
+        self._upper = np.triu_indices(num_ues, 1)
         self._n_triple: Dict[Tuple[int, int, int], float] = {}
         self._clear_triple: Dict[Tuple[int, int, int], float] = {}
         self.subframes_observed = 0
+        self._compiled = compiled_feedback()
+        #: Flat views of the count arrays, for the pass's Python form.
+        self.views = flat_views(self.n, self.clear, self.n_pair, self.clear_pair)
+        self._kernel_counts = AccessCounts(
+            self.n.ctypes.data,
+            self.clear.ctypes.data,
+            self.n_pair.ctypes.data,
+            self.clear_pair.ctypes.data,
+        )
+        #: Address of the ``AccessCounts`` descriptor the kernel takes.
+        self.kernel_address = ctypes.addressof(self._kernel_counts)
 
     # -- recording -------------------------------------------------------
 
     def record_subframe(self, scheduled: Iterable[int], accessed: Iterable[int]) -> None:
-        """Record one subframe: who was scheduled, who used the grant."""
-        scheduled_set = set(scheduled)
-        accessed_set = set(accessed)
-        if not accessed_set <= scheduled_set:
-            raise MeasurementError(
-                f"accessed UEs {sorted(accessed_set - scheduled_set)} "
-                "were never scheduled"
-            )
+        """Record one subframe: who was scheduled, who used the grant.
+
+        Raises :class:`MeasurementError`, with nothing recorded, when a
+        scheduled id is not a client of the cell or an accessed client
+        was not scheduled.
+        """
+        ids = ScheduledIds(scheduled, self.num_ues, MeasurementError)
+        self.record(ids, ids.accessed_flags(accessed, MeasurementError))
+
+    def record(self, ids: ScheduledIds, flags: bytes, monitor=None) -> int:
+        """Record one validated subframe (see :class:`ScheduledIds`).
+
+        With a :class:`~repro.dynamics.detect.DriftMonitor`, the same pass
+        also feeds its detectors; returns the number of clients it flagged
+        (read them with ``monitor.flagged(count)``), 0 without one.
+        """
         if self.decay < 1.0:
             self._apply_decay()
-        for ue in scheduled_set:
-            if not 0 <= ue < self.num_ues:
-                raise MeasurementError(f"unknown UE id {ue}")
-            self._n[ue] += 1
-            if ue in accessed_set:
-                self._clear[ue] += 1
-        for pair in combinations(sorted(scheduled_set), 2):
-            self._n_pair[pair] += 1
-            if pair[0] in accessed_set and pair[1] in accessed_set:
-                self._clear_pair[pair] += 1
+        flagged = access_feedback(
+            self._compiled, ids, flags, self.num_ues, self, monitor
+        )
         if self.track_triplets:
-            for triple in combinations(sorted(scheduled_set), 3):
+            ues = ids.ues
+            for a, b, c in combinations(range(len(ues)), 3):
+                triple = (ues[a], ues[b], ues[c])
                 self._n_triple[triple] = self._n_triple.get(triple, 0) + 1
-                if all(u in accessed_set for u in triple):
+                if flags[a] and flags[b] and flags[c]:
                     self._clear_triple[triple] = (
                         self._clear_triple.get(triple, 0) + 1
                     )
         self.subframes_observed += 1
+        return flagged
 
     def _apply_decay(self) -> None:
-        for store in (self._n, self._clear, self._n_pair, self._clear_pair,
-                      self._n_triple, self._clear_triple):
+        decay = self.decay
+        for counts in (self.n, self.clear, self.n_pair, self.clear_pair):
+            counts *= decay
+        for store in (self._n_triple, self._clear_triple):
             for key in store:
-                store[key] *= self.decay
+                store[key] *= decay
 
     def reset_ues(self, ues: Iterable[int]) -> None:
         """Discard all statistics involving the given clients.
@@ -124,13 +173,12 @@ class AccessEstimator:
         bad = [u for u in affected if not 0 <= u < self.num_ues]
         if bad:
             raise MeasurementError(f"unknown UE ids {sorted(bad)}")
-        for ue in affected:
-            self._n[ue] = 0.0
-            self._clear[ue] = 0.0
-        for pair in self._n_pair:
-            if affected & set(pair):
-                self._n_pair[pair] = 0.0
-                self._clear_pair[pair] = 0.0
+        rows = sorted(affected)
+        for counts in (self.n, self.clear):
+            counts[rows] = 0.0
+        for counts in (self.n_pair, self.clear_pair):
+            counts[rows, :] = 0.0
+            counts[:, rows] = 0.0
         for triple in list(self._n_triple):
             if affected & set(triple):
                 self._n_triple[triple] = 0.0
@@ -138,32 +186,38 @@ class AccessEstimator:
 
     # -- point estimates ----------------------------------------------------
 
-    def _floor(self, count: float) -> float:
-        # Half a count: keeps estimates off exact 0/1 where logs blow up.
-        return 0.5 / max(count, 1)
+    def _ue(self, ue: int) -> int:
+        if not 0 <= ue < self.num_ues:
+            raise KeyError(ue)
+        return ue
+
+    def _pair(self, ue_a: int, ue_b: int) -> Tuple[int, int]:
+        pair = tuple(sorted((ue_a, ue_b)))
+        if not 0 <= pair[0] < pair[1] < self.num_ues:
+            raise KeyError(pair)
+        return pair
 
     def individual_samples(self, ue: int) -> float:
         """Effective sample count (decayed weight) for one client."""
-        return self._n[ue]
+        return float(self.n[self._ue(ue)])
 
     def pair_samples(self, ue_a: int, ue_b: int) -> float:
         """Effective joint sample count for one pair."""
-        return self._n_pair[tuple(sorted((ue_a, ue_b)))]
+        return float(self.n_pair[self._pair(ue_a, ue_b)])
 
     def p_individual(self, ue: int) -> float:
-        n = self._n[ue]
+        ue = self._ue(ue)
+        n = float(self.n[ue])
         if n == 0:
             raise MeasurementError(f"no samples for UE {ue}")
-        floor = self._floor(n)
-        return min(max(self._clear[ue] / n, floor), 1.0)
+        return _estimate(float(self.clear[ue]), n)
 
     def p_pairwise(self, ue_a: int, ue_b: int) -> float:
-        pair = tuple(sorted((ue_a, ue_b)))
-        n = self._n_pair[pair]
+        pair = self._pair(ue_a, ue_b)
+        n = float(self.n_pair[pair])
         if n == 0:
             raise MeasurementError(f"no joint samples for pair {pair}")
-        floor = self._floor(n)
-        return min(max(self._clear_pair[pair] / n, floor), 1.0)
+        return _estimate(float(self.clear_pair[pair]), n)
 
     def triple_samples(self, i: int, j: int, k: int) -> float:
         return self._n_triple.get(tuple(sorted((i, j, k))), 0.0)
@@ -173,15 +227,16 @@ class AccessEstimator:
         n = self._n_triple.get(triple, 0)
         if n == 0:
             raise MeasurementError(f"no joint samples for triple {triple}")
-        floor = self._floor(n)
-        return min(max(self._clear_triple.get(triple, 0) / n, floor), 1.0)
+        return _estimate(self._clear_triple.get(triple, 0), n)
 
     def complete(self, samples: int) -> bool:
         """True when every pair has at least ``samples`` joint observations."""
-        return all(count >= samples for count in self._n_pair.values())
+        return bool(np.all(self.n_pair[self._upper] >= samples))
 
     def min_pair_samples(self) -> float:
-        return min(self._n_pair.values()) if self._n_pair else 0.0
+        if self.num_ues < 2:
+            return 0.0
+        return float(self.n_pair[self._upper].min())
 
     # -- transformed output ----------------------------------------------------
 
@@ -205,24 +260,38 @@ class AccessEstimator:
         every observed triple with at least ``min_triple_samples`` joint
         samples contributes a Section 3.5 constraint.
         """
+        n = self.n.tolist()
+        clear = self.clear.tolist()
+        n_pair = self.n_pair.tolist()
+        clear_pair = self.clear_pair.tolist()
+
+        def p_pairwise(i: int, j: int) -> float:
+            if n_pair[i][j] == 0:
+                raise MeasurementError(f"no joint samples for pair {(i, j)}")
+            return _estimate(clear_pair[i][j], n_pair[i][j])
+
+        p_individual = []
+        for ue in range(self.num_ues):
+            if n[ue] == 0:
+                raise MeasurementError(f"no samples for UE {ue}")
+            p_individual.append(_estimate(clear[ue], n[ue]))
         individual: Dict[int, float] = {}
         pairwise: Dict[Tuple[int, int], float] = {}
         tol_individual: Dict[int, float] = {}
         tol_pairwise: Dict[Tuple[int, int], float] = {}
-        for ue in range(self.num_ues):
-            p = self.p_individual(ue)
+        for ue, p in enumerate(p_individual):
             individual[ue] = transform_individual(p)
-            tol_individual[ue] = z * self._log_se(p, self._n[ue])
+            tol_individual[ue] = z * self._log_se(p, n[ue])
         for pair in combinations(range(self.num_ues), 2):
             i, j = pair
-            p_i = self.p_individual(i)
-            p_j = self.p_individual(j)
-            p_ij = self.p_pairwise(i, j)
+            p_i = p_individual[i]
+            p_j = p_individual[j]
+            p_ij = p_pairwise(i, j)
             pairwise[pair] = transform_pairwise(p_i, p_j, p_ij)
             variance = (
-                self._log_se(p_ij, self._n_pair[pair]) ** 2
-                + self._log_se(p_i, self._n[i]) ** 2
-                + self._log_se(p_j, self._n[j]) ** 2
+                self._log_se(p_ij, n_pair[i][j]) ** 2
+                + self._log_se(p_i, n[i]) ** 2
+                + self._log_se(p_j, n[j]) ** 2
             )
             tol_pairwise[pair] = z * math.sqrt(variance)
         triplet: Dict[Tuple[int, int, int], float] = {}
@@ -232,35 +301,29 @@ class AccessEstimator:
                 raise MeasurementError(
                     "estimator was built without track_triplets=True"
                 )
-            for triple, n in self._n_triple.items():
-                if n < min_triple_samples:
+            for triple, n_ijk in self._n_triple.items():
+                if n_ijk < min_triple_samples:
                     continue
                 i, j, k = triple
                 p_ijk = self.p_triplet(i, j, k)
                 triplet[triple] = transform_triplet(
-                    self.p_individual(i),
-                    self.p_individual(j),
-                    self.p_individual(k),
-                    self.p_pairwise(i, j),
-                    self.p_pairwise(i, k),
-                    self.p_pairwise(j, k),
+                    p_individual[i],
+                    p_individual[j],
+                    p_individual[k],
+                    p_pairwise(i, j),
+                    p_pairwise(i, k),
+                    p_pairwise(j, k),
                     p_ijk,
                 )
                 # Dominant noise source: the triple count itself, plus the
                 # six lower-order estimates it is combined with.
-                variance = self._log_se(p_ijk, n) ** 2
+                variance = self._log_se(p_ijk, n_ijk) ** 2
                 for a, b in ((i, j), (i, k), (j, k)):
                     variance += (
-                        self._log_se(
-                            self.p_pairwise(a, b),
-                            self._n_pair[tuple(sorted((a, b)))],
-                        )
-                        ** 2
+                        self._log_se(p_pairwise(a, b), n_pair[a][b]) ** 2
                     )
                 for u in triple:
-                    variance += (
-                        self._log_se(self.p_individual(u), self._n[u]) ** 2
-                    )
+                    variance += self._log_se(p_individual[u], n[u]) ** 2
                 tol_triplet[triple] = z * math.sqrt(variance)
         return TransformedMeasurements(
             num_ues=self.num_ues,

@@ -1,7 +1,7 @@
 """Compiled kernels for the simulator's interpreter-bound loops.
 
-One shared library holds them all, the schedulers' and the channel
-bank's:
+One shared library holds them all, the schedulers', the channel bank's
+and the BLU controller's access feedback:
 
 * ``greedy_fill`` — the schedule builder's greedy chain scan
   for linear (PF-family) utilities.  Its cost is not arithmetic but
@@ -30,6 +30,13 @@ bank's:
   handful of dispatches on a ``(num_ues, num_rbs)`` array; here the
   block is one call.  The innovations' complex division and
   ``|h|^2``/``log10`` stay in numpy (see the bank).
+* ``access_feedback`` — one UL subframe's access sample (Section 3.3):
+  it bumps the :class:`~repro.core.measurement.estimator.AccessEstimator`
+  counts of the scheduled clients and pairs, then, given the adaptive
+  controller's :class:`~repro.dynamics.detect.DriftMonitor`, steps every
+  touched Page–Hinkley or CUSUM stream and runs the co-flag pass, all
+  over the dense count and state arrays those objects own
+  (``core/measurement/feedback.py`` holds its Python form).
 
 Bit-exactness: each kernel performs exactly the IEEE-754 binary64
 operations its Python form performs, in the same order — ``greedy_fill``
@@ -38,7 +45,9 @@ only double additions and strict ``>`` compares; ``speculative_fill``
 ``joint_service`` the footprint products, ``prob + p * x`` convolution
 updates and the partial sums, keyed by local bit codes whose insertion
 order replays the Python dicts'; ``fading_block`` ``rho * h + c * e``
-per real component.  Products feed sums in one expression,
+per real component; ``access_feedback`` ``count + 1.0`` per count, and
+the single-stream detectors' recurrences (``mean += (x - mean) / n``
+with ``n`` as a double, each ``max``/``min`` as the compare it performs).  Products feed sums in one expression,
 so ``-ffp-contract=off`` is load-bearing: without it a compiler may fuse
 ``a + p * x`` into one FMA, rounding once instead of twice and changing
 the last bit (GCC's and clang's defaults both allow that on targets with
@@ -53,7 +62,9 @@ the Python caller, handed over as one :class:`ServiceTable` descriptor
 of pointers.  The caller also grows them (``joint_rehash`` into doubled
 buffers) before a walk could need more room; the kernels only read and
 write through the pointers they are handed — ``fading_block`` likewise
-writes only into the bank's state and block buffers.  All other scratch
+writes only into the bank's state and block buffers, and
+``access_feedback`` only into the estimator's and monitor's arrays, at
+ids it has checked against their size before the first write.  All other scratch
 state lives on the stack — there are no static buffers, so concurrent
 callers never share state.  ``REPRO_KERNEL_SANITIZE=1`` builds the
 library with AddressSanitizer and UBSan to check exactly that (load it
@@ -66,8 +77,9 @@ The library is optional infrastructure, never a correctness dependency:
   hash of the source (concurrent builds race safely via atomic rename);
 * any failure — no compiler, compile error, unloadable object — degrades
   to ``kernel() is None`` and callers keep the pure-Python greedy scan,
-  Eqn. 4 step scorer and joint-service walk, and the channel bank steps
-  its block row by row in numpy; the failure is reported once
+  Eqn. 4 step scorer and joint-service walk, the channel bank steps
+  its block row by row in numpy, and access feedback runs its loop in
+  Python; the failure is reported once
   per process as a :class:`RuntimeWarning` naming the compiler and the
   tail of its error output, because the fallback changes speed (never
   results);
@@ -92,6 +104,9 @@ __all__ = [
     "KERNEL_MAX_SLOTS",
     "KERNEL_MAX_MEMBERS",
     "KERNEL_MAX_SERVICE_SLOTS",
+    "AccessCounts",
+    "DriftStreams",
+    "DRIFT_STATE",
     "ServiceTable",
     "TABLE_FULL",
 ]
@@ -124,6 +139,41 @@ class ServiceTable(ctypes.Structure):
         ("keys_m", ctypes.c_void_p),
         ("values", ctypes.c_void_p),
         ("meta", ctypes.c_void_p),
+    ]
+
+
+#: Doubles of state per drift stream (Page–Hinkley: mean, low, low_max,
+#: high, high_min; CUSUM: mean, pos, neg and two unused).
+DRIFT_STATE = 5
+
+
+class AccessCounts(ctypes.Structure):
+    """The C ``access_counts``: pointers to an access estimator's count
+    arrays, which the estimator owns (see ``AccessEstimator``)."""
+
+    _fields_ = [
+        ("n", ctypes.c_void_p),
+        ("clear", ctypes.c_void_p),
+        ("n_pair", ctypes.c_void_p),
+        ("clear_pair", ctypes.c_void_p),
+    ]
+
+
+class DriftStreams(ctypes.Structure):
+    """The C ``drift_streams``: a drift monitor's settings and pointers to
+    its per-stream arrays, which the monitor owns (see ``DriftMonitor``)."""
+
+    _fields_ = [
+        ("cusum", ctypes.c_int64),
+        ("min_samples", ctypes.c_int64),
+        ("slack", ctypes.c_double),
+        ("threshold", ctypes.c_double),
+        ("bar", ctypes.c_double),
+        ("ue_count", ctypes.c_void_p),
+        ("ue_state", ctypes.c_void_p),
+        ("pair_count", ctypes.c_void_p),
+        ("pair_state", ctypes.c_void_p),
+        ("drifted", ctypes.c_void_p),
     ]
 
 
@@ -737,6 +787,186 @@ int64_t fading_block(
     }
     return 0;
 }
+
+/* An access estimator's count arrays (AccessEstimator in
+ * core/measurement/estimator.py): n and clear of shape (U,), n_pair and
+ * clear_pair of shape (U, U), upper triangle only. */
+typedef struct {
+    double *n;
+    double *clear;
+    double *n_pair;
+    double *clear_pair;
+} access_counts;
+
+/* A drift monitor's streams (DriftMonitor in dynamics/detect.py): per
+ * stream an int64 sample count and DRIFT_STATE doubles -- Page-Hinkley:
+ * mean, low, low_max, high, high_min; CUSUM: mean, pos, neg.  UE streams
+ * are (U,), pair streams (U, U) (upper triangle; NULL without pair
+ * detectors).  A stream whose count is 0 is a fresh detector: its state
+ * is all zeros.  drifted is the (U,) output flag row. */
+#define DRIFT_STATE 5
+
+typedef struct {
+    int64_t cusum;
+    int64_t min_samples;
+    double slack;
+    double threshold;
+    double bar;
+    int64_t *ue_count;
+    double *ue_state;
+    int64_t *pair_count;
+    double *pair_state;
+    uint8_t *drifted;
+} drift_streams;
+
+/* One stream's detector recurrence on sample x; returns whether it fires.
+ * The single-stream update's float sequence: mean += (x - mean) / n with
+ * n as a double, then Page-Hinkley's low += (x - mean) + slack and
+ * high += (x - mean) - slack, or CUSUM's ((pos + x) - mean) - slack and
+ * ((neg - x) + mean) - slack; every max/min is the compare it performs
+ * (the first argument kept unless the second is strictly greater or
+ * smaller), so ties and signed zeros resolve as in Python. */
+static int drift_step(
+    const drift_streams *m, int64_t *count, double *state, double x)
+{
+    int64_t n = *count + 1;
+    double mean = state[0];
+    mean += (x - mean) / (double)n;
+    *count = n;
+    state[0] = mean;
+    if (m->cusum) {
+        double pos = ((state[1] + x) - mean) - m->slack;
+        double neg = ((state[2] - x) + mean) - m->slack;
+        if (!(pos > 0.0))
+            pos = 0.0;
+        if (!(neg > 0.0))
+            neg = 0.0;
+        state[1] = pos;
+        state[2] = neg;
+        return n >= m->min_samples &&
+               (neg > pos ? neg : pos) > m->threshold;
+    } else {
+        double low = state[1] + ((x - mean) + m->slack);
+        double low_max = state[2];
+        double high = state[3] + ((x - mean) - m->slack);
+        double high_min = state[4];
+        double falling, rising;
+        if (low > low_max)
+            low_max = low;
+        if (high < high_min)
+            high_min = high;
+        state[1] = low;
+        state[2] = low_max;
+        state[3] = high;
+        state[4] = high_min;
+        if (n < m->min_samples)
+            return 0;
+        falling = low_max - low;
+        rising = high - high_min;
+        return (rising > falling ? rising : falling) > m->threshold;
+    }
+}
+
+/* One UL subframe of access feedback.
+ *
+ * ids      : the scheduled UE ids, strictly ascending, each in [0, n_ues).
+ * accessed : per scheduled UE (aligned with ids), 1 when it accessed.
+ * counts   : estimator counts to update, or NULL.
+ * monitor  : drift streams to update, or NULL.
+ *
+ * Returns -1 when ids break their contract (nothing is written), else
+ * the number of clients flagged drifted (0 without a monitor).
+ *
+ * The estimator takes n += 1.0 (and clear += 1.0 on access) per scheduled
+ * UE, then per pair in combinations order n_pair += 1.0 (clear_pair
+ * += 1.0 when both accessed).  The monitor steps the UE streams in
+ * ascending order, then the pair streams in the same pair order; a
+ * firing stream flags its clients.  When anything fired, every other
+ * client whose stream has min_samples samples and an envelope strictly
+ * past bar is flagged with it. */
+int64_t access_feedback(
+    const int64_t *ids,
+    int64_t n_ids,
+    const uint8_t *accessed,
+    int64_t n_ues,
+    const access_counts *counts,
+    const drift_streams *monitor)
+{
+    int64_t i, j, flagged = 0;
+    int any = 0;
+
+    if (n_ids < 0 || n_ues < 1)
+        return -1;
+    for (i = 0; i < n_ids; i++)
+        if (ids[i] < 0 || ids[i] >= n_ues || (i > 0 && ids[i] <= ids[i - 1]))
+            return -1;
+
+    if (counts) {
+        for (i = 0; i < n_ids; i++) {
+            int64_t a = ids[i];
+            counts->n[a] = counts->n[a] + 1.0;
+            if (accessed[i])
+                counts->clear[a] = counts->clear[a] + 1.0;
+        }
+        for (i = 0; i < n_ids; i++) {
+            const int64_t row = ids[i] * n_ues;
+            for (j = i + 1; j < n_ids; j++) {
+                int64_t e = row + ids[j];
+                counts->n_pair[e] = counts->n_pair[e] + 1.0;
+                if (accessed[i] && accessed[j])
+                    counts->clear_pair[e] = counts->clear_pair[e] + 1.0;
+            }
+        }
+    }
+    if (!monitor)
+        return 0;
+
+    memset(monitor->drifted, 0, (size_t)n_ues);
+    for (i = 0; i < n_ids; i++) {
+        int64_t a = ids[i];
+        if (drift_step(monitor, monitor->ue_count + a,
+                       monitor->ue_state + a * DRIFT_STATE,
+                       accessed[i] ? 1.0 : 0.0)) {
+            monitor->drifted[a] = 1;
+            any = 1;
+        }
+    }
+    if (monitor->pair_count) {
+        for (i = 0; i < n_ids; i++) {
+            const int64_t row = ids[i] * n_ues;
+            for (j = i + 1; j < n_ids; j++) {
+                int64_t e = row + ids[j];
+                if (drift_step(monitor, monitor->pair_count + e,
+                               monitor->pair_state + e * DRIFT_STATE,
+                               accessed[i] && accessed[j] ? 1.0 : 0.0)) {
+                    monitor->drifted[ids[i]] = 1;
+                    monitor->drifted[ids[j]] = 1;
+                    any = 1;
+                }
+            }
+        }
+    }
+    if (any) {
+        for (i = 0; i < n_ues; i++) {
+            const double *state = monitor->ue_state + i * DRIFT_STATE;
+            double falling, rising;
+            if (monitor->drifted[i] || monitor->ue_count[i] < monitor->min_samples)
+                continue;
+            if (monitor->cusum) {
+                falling = state[1];
+                rising = state[2];
+            } else {
+                falling = state[2] - state[1];
+                rising = state[3] - state[4];
+            }
+            if ((rising > falling ? rising : falling) > monitor->bar)
+                monitor->drifted[i] = 1;
+        }
+        for (i = 0; i < n_ues; i++)
+            flagged += monitor->drifted[i];
+    }
+    return flagged;
+}
 """
 
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
@@ -811,9 +1041,10 @@ def _build(path: str) -> Optional[str]:
 def _fall_back(reason: str) -> None:
     warnings.warn(
         "compiled kernels (greedy_fill, speculative_fill, joint_service, "
-        f"fading_block) unavailable ({reason}); using the pure-Python "
-        "greedy scan, Eqn. 4 step scorer and joint-service walk, and the "
-        "channel bank's per-step numpy recurrence (same results, slower)",
+        f"fading_block, access_feedback) unavailable ({reason}); using the "
+        "pure-Python greedy scan, Eqn. 4 step scorer and joint-service "
+        "walk, the channel bank's per-step numpy recurrence and the Python "
+        "access-feedback loop (same results, slower)",
         RuntimeWarning,
         stacklevel=4,
     )
@@ -853,6 +1084,8 @@ def _load() -> Optional[ctypes.CDLL]:
         lib.fading_block, ptr, ptr, i64, i64, i64,
         ctypes.c_double, ctypes.c_double,
     )
+    # ids, n_ids, accessed flags, n_ues, counts, monitor
+    _bind(lib.access_feedback, ptr, i64, ctypes.c_char_p, i64, ptr, ptr)
     return lib
 
 

@@ -260,9 +260,7 @@ class AdaptiveBLUController(BLUController):
             return
 
         if self.phase is BLUPhase.PARTIAL_REMEASURE:
-            self.estimator.record_subframe(
-                scheduled=observation.scheduled, accessed=observation.accessed
-            )
+            self._record(observation)
             assert self._partial_scheduler is not None
             self._partial_scheduler.record(sorted(observation.scheduled))
             self.metrics.partial_measurement_subframes += 1
@@ -273,19 +271,21 @@ class AdaptiveBLUController(BLUController):
             return
 
         # SPECULATIVE: base bookkeeping (estimator + optional timer-based
-        # re-inference) first ...
-        before = self.inference_result
-        super()._observe(observation)
-        if self.inference_result is not before:
+        # re-inference) first, then streaming drift detection over the
+        # same observation.  A subframe that re-infers goes through the
+        # base path and re-baselines the detectors instead ...
+        if self._reinference_due():
+            super()._observe(observation)
             self.metrics.reinferences += 1
             if obs is not None:
                 obs["reinferences"].inc()
             self._rebaseline()
             return
-        # ... then streaming drift detection over the same observation.
-        drifted = self.monitor.update(
-            observation.scheduled, observation.accessed
+        # ... any other feeds the estimator and the monitor in one pass.
+        drifted = self.monitor.flagged(
+            self._record(observation, monitor=self.monitor)
         )
+        self._ul_subframes_since_inference += 1
         if self._cooldown_remaining > 0:
             self._cooldown_remaining -= 1
             if drifted:

@@ -24,9 +24,17 @@ appears even if each individual rate shift is small.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+import ctypes
+from typing import FrozenSet, Iterable, Optional, Set, Tuple
 
+import numpy as np
+
+from repro.core.measurement.feedback import (
+    ScheduledIds,
+    access_feedback,
+    compiled_feedback,
+    flat_views,
+)
 from repro.errors import ConfigurationError
 
 __all__ = ["PageHinkleyDetector", "CusumDetector", "DriftMonitor"]
@@ -91,6 +99,13 @@ class PageHinkleyDetector:
         """Current detection envelope (compare against ``threshold``)."""
         return max(self._low_max - self._low, self._high - self._high_min)
 
+    def state(self) -> tuple:
+        """``(samples, mean, low, low_max, high, high_min)``."""
+        return (
+            self._n, self._mean, self._low, self._low_max, self._high,
+            self._high_min,
+        )
+
 
 class CusumDetector:
     """Two-sided tabular CUSUM against the stream's running mean."""
@@ -140,6 +155,10 @@ class CusumDetector:
         """Current detection envelope (compare against ``threshold``)."""
         return max(self._pos, self._neg)
 
+    def state(self) -> tuple:
+        """``(samples, mean, pos, neg)``."""
+        return (self._n, self._mean, self._pos, self._neg)
+
 
 def _make_detector(kind: str, **kwargs):
     if kind == "page-hinkley":
@@ -164,6 +183,17 @@ class DriftMonitor:
     at once, but sampling noise staggers their individual crossing times,
     and folding the near-crossers into the same adaptation episode saves a
     second detection/re-measurement round trip.
+
+    Every detector's state lives in dense arrays: per stream an ``int64``
+    sample count (``ue_count`` of shape ``(U,)``, ``pair_count`` of shape
+    ``(U, U)``, upper triangle) and ``DRIFT_STATE`` doubles (``ue_state``,
+    ``pair_state``) — Page–Hinkley's mean, low, low_max, high, high_min,
+    or CUSUM's mean, pos, neg.  A fresh detector is all zeros, so a pair
+    whose count is 0 is exactly a pair detector never created: pairs need
+    no lazy creation, and :meth:`reset` zeroes rows and columns.  Read a
+    stream through :meth:`state`; :class:`PageHinkleyDetector` and
+    :class:`CusumDetector` remain the single-stream API, and the oracle
+    the monitor is held to.
     """
 
     def __init__(
@@ -176,127 +206,124 @@ class DriftMonitor:
         track_pairs: bool = True,
         co_flag_fraction: float = 0.5,
     ) -> None:
+        from repro.core.scheduling._kernel import DRIFT_STATE, DriftStreams
+
         if num_ues < 1:
             raise ConfigurationError(f"need at least one UE: {num_ues}")
         if not 0.0 < co_flag_fraction <= 1.0:
             raise ConfigurationError(
                 f"co_flag_fraction must be in (0, 1]: {co_flag_fraction}"
             )
+        # The single-stream detector validates the settings.
+        _make_detector(
+            detector,
+            threshold=threshold,
+            min_samples=min_samples,
+            **({"delta": delta} if detector == "page-hinkley" else {"k": delta}),
+        )
         self.num_ues = num_ues
         self.co_flag_fraction = float(co_flag_fraction)
         self.kind = detector
-        self._threshold = float(threshold)
-        self._min_samples = int(min_samples)
+        self.cusum = detector == "cusum"
+        self.threshold = float(threshold)
+        self.min_samples = int(min_samples)
         #: The detectors' drift allowance (Page–Hinkley ``delta``, CUSUM
         #: ``k``), as each detector stores it.
-        self._slack = float(delta)
-        self._kwargs = dict(min_samples=min_samples, threshold=threshold)
-        if detector == "page-hinkley":
-            self._kwargs["delta"] = delta
-        else:
-            self._kwargs["k"] = delta
+        self.slack = float(delta)
+        #: The co-flag bar: ``co_flag_fraction`` of the threshold.
+        self.bar = self.co_flag_fraction * self.threshold
         self.track_pairs = bool(track_pairs)
-        self._ue: Dict[int, object] = {
-            ue: _make_detector(detector, **self._kwargs)
-            for ue in range(num_ues)
-        }
-        # Pair detectors are created lazily, only for pairs actually
-        # scheduled together (O(K^2) per subframe, not O(N^2) up front).
-        self._pair: Dict[Tuple[int, int], object] = {}
+        self.ue_count = np.zeros(num_ues, dtype=np.int64)
+        self.ue_state = np.zeros((num_ues, DRIFT_STATE))
+        self.pair_count = self.pair_state = None
+        if self.track_pairs:
+            self.pair_count = np.zeros((num_ues, num_ues), dtype=np.int64)
+            self.pair_state = np.zeros((num_ues, num_ues, DRIFT_STATE))
+        #: Per-client flags of the last pass that fired.
+        self.drifted = np.zeros(num_ues, dtype=np.uint8)
+        self._compiled = compiled_feedback()
+        #: Flat views of the stream arrays (``None`` for absent pair
+        #: arrays), for the pass's Python form.
+        self.views = (
+            *flat_views(self.ue_count, self.ue_state),
+            *(
+                (None, None) if self.pair_count is None
+                else flat_views(self.pair_count, self.pair_state)
+            ),
+            *flat_views(self.drifted),
+        )
+
+        def pointer(array):
+            return None if array is None else array.ctypes.data
+
+        self._kernel_streams = DriftStreams(
+            self.cusum,
+            self.min_samples,
+            self.slack,
+            self.threshold,
+            self.bar,
+            pointer(self.ue_count),
+            pointer(self.ue_state),
+            pointer(self.pair_count),
+            pointer(self.pair_state),
+            pointer(self.drifted),
+        )
+        #: Address of the ``DriftStreams`` descriptor the kernel takes.
+        self.kernel_address = ctypes.addressof(self._kernel_streams)
 
     def update(
         self, scheduled: Iterable[int], accessed: Iterable[int]
     ) -> FrozenSet[int]:
         """One subframe of evidence; returns the clients flagged drifted.
 
-        Runs every stream's detector recurrence inline — the per-client
-        streams, then the per-pair ones, in one loop — over the detectors'
-        own state, performing exactly the float operations of their
-        :meth:`~PageHinkleyDetector.update` (the single-stream API, and
-        the oracle the tests hold this loop to) in the same order.  A
-        method call per stream would cost more than its arithmetic.
+        Runs every stream's detector recurrence — the per-client streams
+        in ascending order, then the per-pair ones in
+        ``combinations(sorted(scheduled), 2)`` order — performing exactly
+        the float operations of :meth:`PageHinkleyDetector.update` /
+        :meth:`CusumDetector.update`, then the co-flag pass.  Raises
+        :class:`ConfigurationError`, with no detector touched, when an id
+        is not a client of the cell or an accessed client was not
+        scheduled.
         """
-        scheduled_set = sorted(set(scheduled))
-        accessed_set = set(accessed)
-        ue_detectors = self._ue
-        # (detector, sample, clients flagged when it fires)
-        streams = [
-            (ue_detectors[ue], 1.0 if ue in accessed_set else 0.0, (ue,))
-            for ue in scheduled_set
-        ]
-        if self.track_pairs:
-            pair_detectors = self._pair
-            for pair in combinations(scheduled_set, 2):
-                detector = pair_detectors.get(pair)
-                if detector is None:
-                    detector = _make_detector(self.kind, **self._kwargs)
-                    pair_detectors[pair] = detector
-                both = pair[0] in accessed_set and pair[1] in accessed_set
-                streams.append((detector, 1.0 if both else 0.0, pair))
-        min_samples = self._min_samples
-        threshold = self._threshold
-        slack = self._slack
-        drifted: Set[int] = set()
-        # Each ``max``/``min`` of the single-stream form is written as the
-        # compare it performs (it keeps its first argument unless the
-        # second is strictly greater/smaller), so ties and signed zeros
-        # resolve identically.
-        if self.kind == "page-hinkley":
-            for detector, x, clients in streams:
-                n = detector._n + 1
-                mean = detector._mean
-                mean += (x - mean) / n
-                low = detector._low + ((x - mean) + slack)
-                low_max = detector._low_max
-                if low > low_max:
-                    low_max = low
-                high = detector._high + ((x - mean) - slack)
-                high_min = detector._high_min
-                if high < high_min:
-                    high_min = high
-                detector._n = n
-                detector._mean = mean
-                detector._low = low
-                detector._low_max = low_max
-                detector._high = high
-                detector._high_min = high_min
-                if n >= min_samples:
-                    falling = low_max - low
-                    rising = high - high_min
-                    if (rising if rising > falling else falling) > threshold:
-                        drifted.update(clients)
+        ids = ScheduledIds(scheduled, self.num_ues, ConfigurationError)
+        flags = ids.accessed_flags(accessed, ConfigurationError)
+        return self.flagged(
+            access_feedback(
+                self._compiled, ids, flags, self.num_ues, None, self
+            )
+        )
+
+    def flagged(self, count: int) -> FrozenSet[int]:
+        """The clients the last pass flagged, given the count it returned
+        (see :meth:`AccessEstimator.record`)."""
+        if not count:
+            return frozenset()
+        return frozenset(np.flatnonzero(self.drifted).tolist())
+
+    def state(self, stream) -> tuple:
+        """One detector's state: a UE id or a pair ``(i, j)``.
+
+        The same tuple as the single-stream detector's
+        :meth:`PageHinkleyDetector.state` / :meth:`CusumDetector.state`;
+        an untouched pair reads as a fresh detector.
+        """
+        if isinstance(stream, tuple):
+            i, j = sorted(stream)
+            if self.pair_count is None or not 0 <= i < j < self.num_ues:
+                raise ConfigurationError(f"no pair stream {stream!r}")
+            count, state = self.pair_count[i, j], self.pair_state[i, j]
         else:
-            for detector, x, clients in streams:
-                n = detector._n + 1
-                mean = detector._mean
-                mean += (x - mean) / n
-                pos = ((detector._pos + x) - mean) - slack
-                if not pos > 0.0:
-                    pos = 0.0
-                neg = ((detector._neg - x) + mean) - slack
-                if not neg > 0.0:
-                    neg = 0.0
-                detector._n = n
-                detector._mean = mean
-                detector._pos = pos
-                detector._neg = neg
-                if n >= min_samples and (neg if neg > pos else pos) > threshold:
-                    drifted.update(clients)
-        if drifted:
-            bar = self.co_flag_fraction * threshold
-            page_hinkley = self.kind == "page-hinkley"
-            for ue, detector in ue_detectors.items():
-                if ue in drifted or detector._n < min_samples:
-                    continue
-                if page_hinkley:
-                    falling = detector._low_max - detector._low
-                    rising = detector._high - detector._high_min
-                else:
-                    falling = detector._pos
-                    rising = detector._neg
-                if (rising if rising > falling else falling) > bar:
-                    drifted.add(ue)
-        return frozenset(drifted)
+            if not 0 <= stream < self.num_ues:
+                raise ConfigurationError(f"unknown UE id {stream}")
+            count, state = self.ue_count[stream], self.ue_state[stream]
+        return (int(count), *state[: 3 if self.cusum else 5].tolist())
+
+    def live_pairs(self) -> Set[Tuple[int, int]]:
+        """The pairs whose detector has seen at least one sample."""
+        if self.pair_count is None:
+            return set()
+        rows, cols = np.nonzero(self.pair_count)
+        return set(zip(rows.tolist(), cols.tolist()))
 
     def reset(self, ues: Optional[Iterable[int]] = None) -> None:
         """Re-baseline detectors (all, or those touching ``ues``).
@@ -304,14 +331,21 @@ class DriftMonitor:
         Called after a re-blueprint: the post-adaptation access rates are a
         new normal, and stale baselines would re-fire forever.
         """
+        arrays = [self.ue_count, self.ue_state]
+        pairs = (
+            [] if self.pair_count is None
+            else [self.pair_count, self.pair_state]
+        )
         if ues is None:
-            for detector in self._ue.values():
-                detector.reset()
-            self._pair.clear()
+            for array in arrays + pairs:
+                array[...] = 0
             return
-        affected = set(ues)
-        for ue in affected:
-            self._ue[ue].reset()
-        for pair in list(self._pair):
-            if affected & set(pair):
-                del self._pair[pair]
+        rows = sorted(set(ues))
+        bad = [ue for ue in rows if not 0 <= ue < self.num_ues]
+        if bad:
+            raise ConfigurationError(f"unknown UE ids {bad}")
+        for array in arrays:
+            array[rows] = 0
+        for array in pairs:
+            array[rows, :] = 0
+            array[:, rows] = 0

@@ -7,11 +7,14 @@ import pytest
 
 from repro.core.measurement.classifier import classify_subframe
 from repro.core.measurement.estimator import AccessEstimator
+from repro.core.measurement.feedback import ScheduledIds
 from repro.core.measurement.pair_scheduler import (
     MeasurementScheduler,
     minimum_subframes,
     tuple_measurement_subframes,
 )
+from repro.core.scheduling._kernel import kernel
+from repro.dynamics.detect import DriftMonitor
 from repro.errors import MeasurementError
 from repro.lte.enb import ENodeB
 from repro.lte.resources import SubframeSchedule, UplinkGrant
@@ -114,6 +117,52 @@ class TestAccessEstimator:
         with pytest.raises(MeasurementError):
             estimator.record_subframe({5}, set())
 
+    @pytest.mark.parametrize(
+        "scheduled, accessed",
+        [({0, 1, 7}, {0}), ({0, -1}, {0}), ({0, 1}, {0, 2})],
+    )
+    def test_rejected_subframe_leaves_state(self, scheduled, accessed):
+        """Validation precedes every write, decay included: a rejected
+        subframe leaves the counts bit-identical."""
+        estimator = AccessEstimator(4, decay=0.5, track_triplets=True)
+        estimator.record_subframe({0, 1, 2}, {0, 1})
+        arrays = (
+            estimator.n, estimator.clear, estimator.n_pair,
+            estimator.clear_pair,
+        )
+        before = [array.tobytes() for array in arrays]
+        with pytest.raises(MeasurementError):
+            estimator.record_subframe(scheduled, accessed)
+        assert [array.tobytes() for array in arrays] == before
+        assert estimator.subframes_observed == 1
+        assert estimator.triple_samples(0, 1, 2) == 1
+        assert estimator.pair_samples(0, 1) == 1.0
+
+    @pytest.mark.parametrize(
+        "ids", [[0, 4], [-1, 0], [1, 0], [2, 2], [0, 1, 2, 3, 4]]
+    )
+    def test_kernel_rejects_bad_ids_before_writing(self, ids):
+        """The compiled pass checks its ids itself (out of range,
+        unsorted, repeated) and then writes nothing."""
+        lib = kernel()
+        if lib is None:
+            pytest.skip("needs the compiled kernel library")
+        estimator = AccessEstimator(4)
+        monitor = DriftMonitor(4, min_samples=1)
+        estimator.record(*_ids_and_flags({0, 1, 2}, {0, 1}), monitor)
+        arrays = (
+            estimator.n, estimator.clear, estimator.n_pair,
+            estimator.clear_pair, monitor.ue_count, monitor.ue_state,
+            monitor.pair_count, monitor.pair_state, monitor.drifted,
+        )
+        before = [array.tobytes() for array in arrays]
+        array = np.array(ids, dtype=np.int64)
+        assert lib.access_feedback(
+            array.ctypes.data, len(ids), bytes([1] * len(ids)), 4,
+            estimator.kernel_address, monitor.kernel_address,
+        ) == -1
+        assert [array.tobytes() for array in arrays] == before
+
     def test_no_samples_raises(self):
         estimator = AccessEstimator(2)
         with pytest.raises(MeasurementError):
@@ -165,6 +214,11 @@ class TestAccessEstimator:
         small = build(100)
         large = build(10000)
         assert large.pairwise_tolerance[(0, 1)] < small.pairwise_tolerance[(0, 1)]
+
+
+def _ids_and_flags(scheduled, accessed):
+    ids = ScheduledIds(scheduled, 4, MeasurementError)
+    return ids, ids.accessed_flags(accessed, MeasurementError)
 
 
 class TestClassifier:

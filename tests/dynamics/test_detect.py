@@ -5,6 +5,7 @@ import pytest
 
 from repro.dynamics.detect import CusumDetector, DriftMonitor, PageHinkleyDetector
 from repro.errors import ConfigurationError
+from tests.reference.dynamics import PerStreamMonitor, assert_same_streams
 
 # The controller's production operating point (AdaptiveConfig defaults).
 PH_DEFAULTS = dict(delta=0.1, threshold=30.0, min_samples=50)
@@ -161,14 +162,46 @@ class TestDriftMonitor:
         rng = np.random.default_rng(29)
         monitor = self.build()
         self.feed(monitor, rng, 2000, {u: 0.1 for u in range(4)})
-        samples_before = {
-            u: monitor._ue[u].samples for u in range(4)
+        samples_before = {u: monitor.state(u)[0] for u in range(4)}
+        assert monitor.live_pairs() == {
+            (a, b) for a in range(4) for b in range(a + 1, 4)
         }
         monitor.reset({2})
-        assert monitor._ue[2].samples == 0
-        assert monitor._ue[0].samples == samples_before[0]
+        assert monitor.state(2)[0] == 0
+        assert monitor.state(0)[0] == samples_before[0]
         # No surviving pair detector touches UE2.
-        assert all(2 not in pair for pair in monitor._pair)
+        assert monitor.live_pairs() == {(0, 1), (0, 3), (1, 3)}
+        assert monitor.state((1, 2)) == (0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_co_flag_bar_is_strict(self):
+        """A client whose envelope sits exactly on the co-flag bar is not
+        folded in: UE0's CUSUM envelope is exactly 0.5 = 0.5 * 1.0 when
+        UE1 fires."""
+        monitor = DriftMonitor(
+            2, detector="cusum", delta=0.0, threshold=1.0, min_samples=2,
+            track_pairs=False, co_flag_fraction=0.5,
+        )
+        assert monitor.update({0, 1}, {0, 1}) == frozenset()
+        assert monitor.update({0}, set()) == frozenset()
+        assert monitor.state(0) == (2, 0.5, 0.0, 0.5)
+        flagged = [monitor.update({1}, set()) for _ in range(3)]
+        assert flagged == [frozenset(), frozenset(), frozenset({1})]
+
+    @pytest.mark.parametrize(
+        "scheduled, accessed",
+        [({0, 4}, {0}), ({0, -1}, set()), ({0, 1}, {2})],
+    )
+    def test_rejected_update_leaves_state(self, scheduled, accessed):
+        rng = np.random.default_rng(37)
+        monitor = self.build()
+        self.feed(monitor, rng, 60, {u: 0.3 for u in range(4)})
+        before = [array.copy() for array in _arrays(monitor)]
+        with pytest.raises(ConfigurationError):
+            monitor.update(scheduled, accessed)
+        with pytest.raises(ConfigurationError):
+            monitor.reset({7})
+        for old, new in zip(before, _arrays(monitor)):
+            assert old.tobytes() == new.tobytes()
 
     def test_pair_detector_catches_joint_shift(self):
         # A pure correlation shift: each UE's individual access rate stays
@@ -195,65 +228,12 @@ class TestDriftMonitor:
         assert flagged == {0, 1}
 
 
-class _PerStreamMonitor:
-    """The drift monitor written with one detector ``update`` call per
-    stream — the oracle the inlined :meth:`DriftMonitor.update` loop must
-    match flag for flag and state for state."""
-
-    def __init__(self, num_ues, detector, delta, threshold, min_samples,
-                 track_pairs, co_flag_fraction):
-        if detector == "page-hinkley":
-            self.make = lambda: PageHinkleyDetector(
-                delta=delta, threshold=threshold, min_samples=min_samples
-            )
-        else:
-            self.make = lambda: CusumDetector(
-                k=delta, threshold=threshold, min_samples=min_samples
-            )
-        self.min_samples = min_samples
-        self.bar = co_flag_fraction * threshold
-        self.track_pairs = track_pairs
-        self.ue = {ue: self.make() for ue in range(num_ues)}
-        self.pair = {}
-
-    def update(self, scheduled, accessed):
-        scheduled = sorted(set(scheduled))
-        accessed = set(accessed)
-        drifted = set()
-        for ue in scheduled:
-            if self.ue[ue].update(1.0 if ue in accessed else 0.0):
-                drifted.add(ue)
-        if self.track_pairs:
-            for index, first in enumerate(scheduled):
-                for second in scheduled[index + 1:]:
-                    pair = (first, second)
-                    detector = self.pair.get(pair)
-                    if detector is None:
-                        detector = self.pair[pair] = self.make()
-                    both = first in accessed and second in accessed
-                    if detector.update(1.0 if both else 0.0):
-                        drifted.update(pair)
-        if drifted:
-            for ue, detector in self.ue.items():
-                if (
-                    ue not in drifted
-                    and detector.samples >= self.min_samples
-                    and detector.statistic > self.bar
-                ):
-                    drifted.add(ue)
-        return frozenset(drifted)
-
-    def reset(self, ues=None):
-        if ues is None:
-            for detector in self.ue.values():
-                detector.reset()
-            self.pair.clear()
-            return
-        for ue in ues:
-            self.ue[ue].reset()
-        for pair in list(self.pair):
-            if set(ues) & set(pair):
-                del self.pair[pair]
+def _arrays(monitor):
+    """Every array of a monitor's stream state."""
+    arrays = [monitor.ue_count, monitor.ue_state]
+    if monitor.pair_count is not None:
+        arrays += [monitor.pair_count, monitor.pair_state]
+    return arrays
 
 
 @pytest.mark.parametrize("track_pairs", [True, False])
@@ -270,7 +250,7 @@ def test_inlined_monitor_matches_per_stream_detectors(kind, track_pairs):
     monitor = DriftMonitor(
         num_ues, detector=kind, track_pairs=track_pairs, **settings
     )
-    oracle = _PerStreamMonitor(
+    oracle = PerStreamMonitor(
         num_ues, kind, track_pairs=track_pairs, **settings
     )
     block = rng.uniform(0.05, 0.4, size=num_ues)
@@ -292,9 +272,5 @@ def test_inlined_monitor_matches_per_stream_detectors(kind, track_pairs):
             resets += 1
             monitor.reset()
             oracle.reset()
-        for ue in range(num_ues):
-            assert vars(monitor._ue[ue]) == vars(oracle.ue[ue])
-        assert list(monitor._pair) == list(oracle.pair)
-        for pair, detector in monitor._pair.items():
-            assert vars(detector) == vars(oracle.pair[pair])
+        assert_same_streams(monitor, oracle)
     assert fired >= 3 and resets >= 1
